@@ -26,7 +26,7 @@ from .gdd import (
     verify_gdd,
 )
 from .leave import achieved_lower_bound
-from .oracle import ReportStatus, max_packing, verify_packing
+from .oracle import BlockCollection, ReportStatus, max_packing, verify_packing
 from .params import classify, j_prime, johnson_bound, upper_bound
 
 OK, FAIL, BAD_INPUT, BUDGET = 0, 1, 2, 3
@@ -166,16 +166,14 @@ def _cmd_dioph(args) -> int:
 
 def _cmd_brute(args) -> int:
     report = max_packing(args.n, args.k, args.t, args.budget)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "t": args.t,
-        "status": report.status.value,
-        "value": report.value,
-        "nodes": report.nodes_explored,
-    }
+    payload = {"n": args.n, "k": args.k, "t": args.t}
     if report.witness is not None:
-        payload["blocks"] = jsonio.blocks_to_list(report.witness)
+        payload = jsonio.packing_to_dict(
+            BlockCollection(args.n, args.k, args.t, 1, report.witness)
+        )
+    payload.update(
+        status=report.status.value, value=report.value, nodes=report.nodes_explored
+    )
     _emit(payload, args.out)
     if report.status is ReportStatus.BUDGET:
         return BUDGET
@@ -270,7 +268,9 @@ def main(argv=None) -> int:
         return BAD_INPUT if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (TriplepackError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    # malformed input: bad numbers (ValueError, which covers JSON syntax
+    # errors), wrongly shaped JSON values (TypeError) or missing keys
+    except (TriplepackError, FileNotFoundError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

@@ -6,12 +6,27 @@ constraints (x must miss given residues modulo further prime powers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
-from sympy import factorint
-from sympy.ntheory.modular import crt as _sympy_crt
+from .errors import InvalidParameterError, NonCoprimeModuliError, TriplepackError
 
-from .errors import InvalidParameterError, NonCoprimeModuliError
+
+def _primes_below(n: int) -> tuple:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+# Miller-Rabin with the first 13 prime bases (2..41) is a proof of
+# primality below this bound (Sorenson & Webster 2015).
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def crt(pairs) -> int:
@@ -31,26 +46,164 @@ def crt(pairs) -> int:
                 raise NonCoprimeModuliError(
                     f"moduli {moduli[i]} and {moduli[j]} are not coprime"
                 )
-    x, modulus = _sympy_crt(moduli, [a for _, a in pairs])
-    x = int(x) % int(modulus)
-    return x if x > 0 else x + int(modulus)
+    x, modulus = 0, 1
+    for m, a in pairs:
+        # invariant: 0 <= x < modulus and x meets every congruence so far
+        x += modulus * ((a - x) * pow(modulus, -1, m) % m)
+        modulus *= m
+    return x if x > 0 else modulus
+
+
+def _split_small(m: int):
+    """Trial division of m >= 1 by the primes below _TRIAL_LIMIT.
+
+    Returns ([(prime, power), ...] ascending, cofactor); the cofactor is 1
+    or has only prime factors above _TRIAL_LIMIT.
+    """
+    found = []
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            if m > 1:
+                found.append((m, 1))
+            return found, 1
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            found.append((p, e))
+    return found, m
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_root(n: int):
+    """(r, k) with r ** k == n and k as large as possible, for n >= 2."""
+    for k in range(n.bit_length() - 1, 1, -1):
+        r = _iroot(n, k)
+        if r ** k == n:
+            return r, k
+    return n, 1
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 41.
+
+    A witness proves n composite at any size; "no witness" proves n
+    prime only below _MR_PROVEN_BELOW, so above it a probable prime is
+    refused instead of trusted.
+    """
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_PROVEN_BELOW:
+        raise InvalidParameterError(
+            f"cannot prove {n} prime: above the Miller-Rabin bound {_MR_PROVEN_BELOW}"
+        )
+    return True
+
+
+def _brent_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Pollard-Brent rho.
+
+    The start value and the constants c = 1, 2, ... are fixed, so the
+    divisor found depends only on n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor(m: int) -> list:
+    """Prime factorization of m >= 1 as [(prime, power), ...] ascending."""
+    found, rest = _split_small(m)
+    powers = dict(found)
+    stack = [(rest, 1)] if rest > 1 else []
+    while stack:
+        n, mult = stack.pop()
+        root, k = _perfect_root(n)
+        if k > 1:
+            stack.append((root, mult * k))
+        elif _is_prime(n):
+            powers[n] = powers.get(n, 0) + mult
+        else:
+            d = _brent_divisor(n)
+            stack += [(d, mult), (n // d, mult)]
+    return sorted(powers.items())
+
+
+def _prime_power_base(m: int):
+    """The prime p with m = p ** e for some e >= 1, or None.
+
+    Needs no split of a composite: m is a prime power exactly when its
+    largest perfect-power root is prime.
+    """
+    if m < 2:
+        return None
+    found, rest = _split_small(m)
+    if found:
+        return found[0][0] if len(found) == 1 and rest == 1 else None
+    root, _ = _perfect_root(rest)
+    return root if _is_prime(root) else None
 
 
 def prime_power_split(m: int, exclude_bases=()) -> list:
     """Factor m into [(prime, power), ...], primes ascending, optionally
     dropping the given prime bases (the constructions here routinely
-    discard powers of 2 and 3)."""
+    discard powers of 2 and 3).
+
+    Raises InvalidParameterError when a factor would need a primality
+    proof above the Miller-Rabin bound.
+    """
     if m < 1:
         raise InvalidParameterError("need m >= 1")
-    return [
-        (int(p), int(e))
-        for p, e in sorted(factorint(m).items())
-        if p not in exclude_bases
-    ]
+    return [(p, e) for p, e in _factor(m) if p not in exclude_bases]
 
 
 def is_prime_power(m: int) -> bool:
-    return m >= 2 and len(factorint(m)) == 1
+    """True when m = p ** e for a prime p and e >= 1; raises
+    InvalidParameterError like prime_power_split."""
+    return _prime_power_base(m) is not None
 
 
 @dataclass(frozen=True)
@@ -80,16 +233,19 @@ class DiophInstance:
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "avoidances", tuple(avs))
 
+        def base_of(m):
+            base = _prime_power_base(m)
+            if base is None:
+                raise InvalidParameterError(f"{m} is not a prime power")
+            return base
+
         bases = []
         for p, a in self.equalities:
-            if not is_prime_power(p):
-                raise InvalidParameterError(f"{p} is not a prime power")
+            bases.append(base_of(p))
             if not 0 <= a < p:
                 raise InvalidParameterError(f"residue {a} out of range mod {p}")
-            bases.append(next(iter(factorint(p))))
         for q, forb in self.avoidances:
-            if not is_prime_power(q):
-                raise InvalidParameterError(f"{q} is not a prime power")
+            bases.append(base_of(q))
             if q < 4:
                 raise InvalidParameterError(f"avoidance modulus {q} < 4")
             if not 1 <= len(forb) < q:
@@ -98,7 +254,6 @@ class DiophInstance:
                 )
             if len(set(forb)) != len(forb) or any(not 0 <= b < q for b in forb):
                 raise InvalidParameterError(f"bad forbidden residues mod {q}")
-            bases.append(next(iter(factorint(q))))
         if len(set(bases)) != len(bases):
             raise InvalidParameterError("moduli must have pairwise distinct bases")
 
@@ -152,11 +307,15 @@ def solve_avoidance(inst: DiophInstance) -> int:
     else:
         x = r if r > 0 else n_prime
 
-    assert inst.satisfied_by(x), "constructive solution failed verification"
+    if not inst.satisfied_by(x):
+        raise TriplepackError(f"constructive solution {x} failed verification")
     # least positive representative of the class that still checks out
     for candidate in range(x % n_prime or n_prime, x + 1, n_prime):
         if inst.satisfied_by(candidate):
             x = candidate
             break
-    assert x <= n_prime * (total_forbidden + 2)
+    if x > n_prime * (total_forbidden + 2):
+        raise TriplepackError(
+            f"solution {x} exceeds the proven bound {n_prime} * {total_forbidden + 2}"
+        )
     return x

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,13 @@ class TestDioph:
         x = json.loads(out)["solution"]
         assert x % 4 == 1 and x % 9 == 2 and x % 5 not in (0, 3)
 
+    def test_modulus_above_primality_bound(self, tmp_path, capsys):
+        # 2**89 - 1 is prime, but above the proven Miller-Rabin bound
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"equalities": [[2**89 - 1, 1]]}))
+        code, _, err = run(capsys, "dioph", "--input", str(path))
+        assert code == BAD_INPUT and "Miller-Rabin" in err
+
 
 class TestBrute:
     def test_fano(self, capsys):
@@ -159,6 +170,17 @@ class TestBrute:
         code, out, _ = run(capsys, "brute", "--n", "13", "--k", "4",
                            "--budget", "5")
         assert code == BUDGET
+
+    def test_out_round_trips_through_verify(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        code, _, _ = run(capsys, "brute", "--n", "9", "--k", "4",
+                         "--out", str(path))
+        assert code == OK
+        data = json.loads(path.read_text())
+        assert data["status"] == "optimal" and data["value"] == 18
+        assert data["lambda"] == 1 and len(data["blocks"]) == 18
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == OK and out.strip() == "packing: ok"
 
 
 class TestBadInput:
@@ -175,3 +197,34 @@ class TestBadInput:
 
     def test_help_exits_clean(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_malformed_range(self, capsys):
+        code, _, err = run(capsys, "bounds", "--k", "5", "--n", "x..9")
+        assert code == BAD_INPUT and err.startswith("error:")
+
+    @pytest.mark.parametrize("command, payload", [
+        ("dioph", {"equalities": [[4, "x"]]}),
+        ("dioph", {"equalities": [[4, 1, 2]]}),
+        ("dioph", {"avoidances": [[7, None]]}),
+        ("decompose", {"n": 4, "edges": [[0, 1]]}),
+        ("decompose", {"n": 4, "edges": [5]}),
+        ("verify", {"n": 7, "k": 3, "t": 2, "lambda": "one", "blocks": []}),
+        ("verify", 5),
+    ])
+    def test_malformed_json_values(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        argv = [str(path)] if command == "verify" else ["--input", str(path)]
+        code, _, err = run(capsys, command, *argv)
+        assert code == BAD_INPUT and err.startswith("error:")
+
+
+def test_cli_imports_without_sympy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, triplepack.cli; assert 'sympy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,18 +1,33 @@
 """CRT, prime-power splitting, and the congruence/avoidance solver."""
 
+import os
 import random
+import subprocess
+import sys
+import time
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplepack.dioph import (
     DiophInstance,
+    _factor,
     crt,
     is_prime_power,
     prime_power_split,
     solve_avoidance,
 )
 from triplepack.errors import InvalidParameterError, NonCoprimeModuliError
+
+M31, M61, M89 = 2**31 - 1, 2**61 - 1, 2**89 - 1  # Mersenne primes
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    """Reference implementation; a test-time oracle only."""
+    return pytest.importorskip("sympy")
 
 
 class TestCrt:
@@ -52,6 +67,51 @@ class TestPrimePowers:
     def test_is_prime_power(self):
         assert is_prime_power(8) and is_prime_power(27) and is_prime_power(13)
         assert not is_prime_power(1) and not is_prime_power(12)
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: is_prime_power(M61), True),
+        (lambda: is_prime_power(M31**3), True),
+        (lambda: is_prime_power(M31 * M61), False),
+        (lambda: prime_power_split(M31 * M61), [(M31, 1), (M61, 1)]),
+        (lambda: prime_power_split(1009 * M31**2), [(1009, 1), (M31, 2)]),
+    ])
+    def test_large_moduli_within_budget(self, call, expected):
+        start = time.perf_counter()
+        assert call() == expected
+        assert time.perf_counter() - start < 1.0
+
+    def test_probable_prime_above_proven_bound_refused(self):
+        with pytest.raises(InvalidParameterError):
+            is_prime_power(M89)
+        with pytest.raises(InvalidParameterError):
+            DiophInstance(equalities=((M89, 1),), avoidances=())
+        # compositeness is proven at any size
+        assert not is_prime_power(2 * M89)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=300)
+    @given(st.integers(min_value=1, max_value=10**12 - 1))
+    def test_factor(self, sympy, m):
+        expected = sorted(sympy.factorint(m).items())
+        assert _factor(m) == expected
+        assert prime_power_split(m, exclude_bases=(2, 3)) == [
+            (p, e) for p, e in expected if p not in (2, 3)
+        ]
+        assert is_prime_power(m) == (len(expected) == 1)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(1, 10**4), st.integers(-10**6, 10**6)),
+                    min_size=1, max_size=6))
+    def test_crt(self, sympy, drawn):
+        pairs = []
+        for m, a in drawn:  # keep a pairwise coprime subset
+            if all(gcd(m, other) == 1 for other, _ in pairs):
+                pairs.append((m, a))
+        x, modulus = sympy.ntheory.modular.crt(
+            [m for m, _ in pairs], [a for _, a in pairs]
+        )
+        assert crt(pairs) == (int(x) % int(modulus) or int(modulus))
 
 
 class TestInstanceValidation:
@@ -141,3 +201,30 @@ class TestSolver:
                 y for y in range(1, x + 1) if inst.satisfied_by(y)
             )
             assert scan <= x
+
+    def test_postconditions_survive_optimize_flag(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        # "assert 0" proves the flag took effect; the solver's own checks
+        # must still run and raise once satisfied_by is broken
+        script = (
+            "from triplepack.dioph import DiophInstance, solve_avoidance\n"
+            "from triplepack.errors import TriplepackError\n"
+            "inst = DiophInstance(equalities=((4, 1), (9, 2)),"
+            " avoidances=((5, (0, 2, 4)), (7, (1, 2, 3))))\n"
+            "x = solve_avoidance(inst)\n"
+            "assert 0, 'assert statements are stripped'\n"
+            "print(x, inst.satisfied_by(x))\n"
+            "DiophInstance.satisfied_by = lambda self, x: False\n"
+            "try:\n"
+            "    solve_avoidance(inst)\n"
+            "except TriplepackError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        x, ok, raised = proc.stdout.split()
+        assert int(x) >= 1 and ok == "True" and raised == "raised"
