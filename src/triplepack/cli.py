@@ -160,7 +160,7 @@ def _cmd_gdd(args) -> int:
 def _cmd_dioph(args) -> int:
     inst = jsonio.dioph_from_dict(_load(args.input))
     x = solve_avoidance(inst)
-    _emit({"solution": x}, args.out)
+    _emit({**jsonio.dioph_to_dict(inst), "solution": x}, args.out)
     return OK
 
 
@@ -202,8 +202,11 @@ def _cmd_verify(args) -> int:
         g.validate()
         ok = True
     elif kind == "dioph":
-        jsonio.dioph_from_dict(data)
-        ok = True
+        # the claim is the recorded solution; an instance without one
+        # claims nothing
+        inst = jsonio.dioph_from_dict(data)
+        x = jsonio.dioph_solution(data)
+        ok = x is not None and inst.satisfied_by(x)
     print(f"{kind}: {'ok' if ok else 'FAILED'}")
     return OK if ok else FAIL
 

@@ -32,6 +32,7 @@ from .decomp import dehon_conditions
 from .errors import (
     NTooSmallError,
     ParameterSearchExhaustedError,
+    TriplepackError,
     WrongCaseError,
 )
 from .gdd import assemble_simple_gdd, gadget_multigraph, simple_gdd_exists
@@ -41,9 +42,7 @@ from .multigraph import (
     complete,
     disjoint_union,
     erdos_gallai_feasible,
-    overlay,
     realize_degree_sequence,
-    scale,
 )
 from .params import CaseLabel, classify, johnson_bound
 
@@ -81,6 +80,13 @@ class LeaveCertificate:
         return check_leave_conditions(self.graph, self.n, self.k, self.xi, self.sigma)
 
 
+def _require(ok: bool, what: str) -> None:
+    """An explicit check of a constructor's invariant; unlike an assert
+    statement it also runs under ``python -O``."""
+    if not ok:
+        raise TriplepackError(f"construction invariant failed: {what}")
+
+
 # ---------------------------------------------------------------------------
 # case r != 0
 # ---------------------------------------------------------------------------
@@ -92,14 +98,14 @@ def _excess_multigraph(n: int, count: int, degree: int) -> Multigraph:
     degree/2 when that is integral and count >= 3 (halving the largest
     multiplicity), otherwise a perfect matching at multiplicity
     ``degree``."""
-    assert count >= 2 and degree >= 1
+    _require(count >= 2 and degree >= 1, "excess needs two vertices and degree >= 1")
     if count >= 3 and degree % 2 == 0:
         pairs = {
             (min(i, (i + 1) % count), max(i, (i + 1) % count)): degree // 2
             for i in range(count)
         }
     else:
-        assert count % 2 == 0, "a matching needs an even vertex count"
+        _require(count % 2 == 0, "a matching needs an even vertex count")
         pairs = {(2 * i, 2 * i + 1): degree for i in range(count // 2)}
     return Multigraph(n, base=0, mult_map=pairs)
 
@@ -127,7 +133,7 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
     edge_target = r * n * (n - 1) + data.alpha_r * n + data.beta_r
 
     if gamma == 0 and gamma0 > 0:
-        assert gamma0 % (k - 1) == 0
+        _require(gamma0 % (k - 1) == 0, "excess degree divisible by k - 1")
         qhat = gamma0 // (k - 1)
         if qhat == 1:
             # xi = J is unachievable; give up one block
@@ -155,8 +161,13 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
         g_prime = realize_degree_sequence(seq)
         params = {"r": r, "gamma": gamma, "gamma0": gamma0}
 
-    graph = overlay(scale(g_prime, k - 2), complete(n, r))
-    assert 2 * graph.edge_count() == edge_target
+    # (k-2)G' + rK_n in one step: G' has base 0, so every pair not in its
+    # map sits at r and every listed pair at (k-2)m + r
+    graph = Multigraph(
+        n, base=r, mult_map={p: (k - 2) * m + r for p, m in g_prime.mult_map.items()}
+    )
+    graph.validate()
+    _require(2 * graph.edge_count() == edge_target, "edge total of (k-2)G' + rK_n")
     top = graph.max_mult()
     if top > n - 2:
         # a pair needs as many distinct common neighbors as its
@@ -181,7 +192,7 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
         parameters=params,
         evidence=evidence,
     )
-    assert cert.conditions().all_pass()
+    _require(cert.conditions().all_pass(), "leave conditions")
     return cert
 
 
@@ -223,12 +234,12 @@ def construct_q_leave(n: int, k: int) -> LeaveCertificate:
             parameters={"q": 0},
             evidence=(EvidenceItem(kind="empty", params=(), copies=0),),
         )
-        assert cert.conditions().all_pass()
+        _require(cert.conditions().all_pass(), "leave conditions")
         return cert
 
     ell = 2 if k % 3 in (1, 2) else 3
     sol = _solve_t_c(k, ell, q)
-    assert sol is not None, "t, c always solvable for 0 < q < k"
+    _require(sol is not None, "t, c always solvable for 0 < q < k")
     t, c = sol
     m = ell * (k - 1) + 1
     if n < t * m:
@@ -244,10 +255,13 @@ def construct_q_leave(n: int, k: int) -> LeaveCertificate:
     deficit = t * ell * ell - c
     xi = xi_full - deficit
     beta = q * (k - 1) * (k - 2)
-    assert (2 * graph.edge_count() - beta) % (k * (k - 1) * (k - 2)) == 0
+    _require(
+        (2 * graph.edge_count() - beta) % (k * (k - 1) * (k - 2)) == 0,
+        "edge total of the complete components",
+    )
     # minimal-t solution: t <= (2k - q)/l(l-1), so deficit <= 4k - 6
-    assert deficit <= 4 * k - 6
-    assert dehon_conditions(m, k - 2)
+    _require(deficit <= 4 * k - 6, "deficit <= 4k - 6")
+    _require(dehon_conditions(m, k - 2), "Dehon conditions of the component")
     cert = LeaveCertificate(
         n=n,
         k=k,
@@ -257,7 +271,7 @@ def construct_q_leave(n: int, k: int) -> LeaveCertificate:
         parameters={"q": q, "l": ell, "t": t, "c": c, "deficit": deficit},
         evidence=(EvidenceItem(kind="dehon", params=(m, k - 2), copies=t),),
     )
-    assert cert.conditions().all_pass()
+    _require(cert.conditions().all_pass(), "leave conditions")
     return cert
 
 
@@ -312,7 +326,7 @@ def _gadget_evidence(c: _Gadget, k: int, copies: int) -> EvidenceItem:
         key = (c.g, c.u, k - 2)
         if key not in _witness_cache:
             inst = assemble_simple_gdd(c.g, c.u, k - 2, budget=2_000_000)
-            assert inst is not None
+            _require(inst is not None, "explicit simple-GDD witness found")
             _witness_cache[key] = inst.blocks
         blocks = _witness_cache[key]
     return EvidenceItem(
@@ -397,7 +411,7 @@ def construct_p_leave(n: int, k: int) -> LeaveCertificate:
 
     num = n * (n - 1) * (n - 2) - 2 * graph.edge_count()
     den = k * (k - 1) * (k - 2)
-    assert num % den == 0, "edge count violates the divisibility for integral xi"
+    _require(num % den == 0, "edge count divisible for an integral xi")
     xi = num // den
     cert = LeaveCertificate(
         n=n,
@@ -418,7 +432,7 @@ def construct_p_leave(n: int, k: int) -> LeaveCertificate:
         },
         evidence=tuple(evidence),
     )
-    assert cert.conditions().all_pass()
+    _require(cert.conditions().all_pass(), "leave conditions")
     return cert
 
 

@@ -13,11 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleSequenceError, InvalidParameterError
+from .errors import InfeasibleSequenceError, InvalidParameterError, TriplepackError
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _bad_entry(u: int, v: int, n: int) -> str:
+    if u == v:
+        return "loops are not allowed"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"vertex out of range in pair {(u, v)}"
+    return "negative multiplicity"
 
 
 @dataclass(frozen=True)
@@ -27,20 +35,42 @@ class Multigraph:
     mult_map: dict = field(default_factory=dict)  # pair -> multiplicity != base
 
     def __post_init__(self):
-        if self.n < 0 or self.base < 0:
+        n, base = self.n, self.base
+        if n < 0 or base < 0:
             raise InvalidParameterError("vertex count and base must be non-negative")
-        # normalize: drop entries equal to base, reject loops / negatives
+        # normalize: orient pairs u < v, drop entries equal to base, reject
+        # loops / out-of-range vertices / negatives
         clean = {}
-        for (u, v), m in self.mult_map.items():
-            if u == v:
-                raise InvalidParameterError("loops are not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidParameterError(f"vertex out of range in pair {(u, v)}")
-            if m < 0:
-                raise InvalidParameterError("negative multiplicity")
-            if m != self.base:
-                clean[_pair(u, v)] = m
+        for p, m in self.mult_map.items():
+            u, v = p
+            if u < v:
+                ok = 0 <= u and v < n
+            else:
+                ok = 0 <= v and u < n and u != v
+                p = (v, u)
+            if not ok or m < 0:
+                raise InvalidParameterError(_bad_entry(u, v, n))
+            if m != base:
+                clean[p] = m
         object.__setattr__(self, "mult_map", clean)
+
+    def _invariants(self) -> tuple:
+        """(degrees, edge count, max multiplicity) from one pass over the
+        exceptional pairs, computed on first use and kept: the instance is
+        frozen, so they cannot go stale."""
+        inv = self.__dict__.get("_inv")
+        if inv is None:
+            n, base, mults = self.n, self.base, self.mult_map
+            deg = [base * (n - 1)] * n
+            for (u, v), m in mults.items():
+                m -= base
+                deg[u] += m
+                deg[v] += m
+            edges = base * (n * (n - 1) // 2 - len(mults)) + sum(mults.values())
+            top = base if n >= 2 and len(mults) < n * (n - 1) // 2 else 0
+            inv = (deg, edges, max(top, max(mults.values(), default=0)))
+            object.__setattr__(self, "_inv", inv)
+        return inv
 
     # -- queries ---------------------------------------------------------
 
@@ -50,25 +80,17 @@ class Multigraph:
         return self.mult_map.get(_pair(u, v), self.base)
 
     def degrees(self) -> list[int]:
-        deg = [self.base * (self.n - 1)] * self.n
-        for (u, v), m in self.mult_map.items():
-            deg[u] += m - self.base
-            deg[v] += m - self.base
-        return deg
+        """Degree of every vertex, as a fresh list the caller may change."""
+        return list(self._invariants()[0])
 
     def degree(self, x: int) -> int:
-        d = self.base * (self.n - 1)
-        for (u, v), m in self.mult_map.items():
-            if u == x or v == x:
-                d += m - self.base
-        return d
+        if not 0 <= x < self.n:
+            raise InvalidParameterError(f"vertex {x} out of range")
+        return self._invariants()[0][x]
 
     def edge_count(self) -> int:
         """Total edge multiplicity |E(G)| (parallel edges counted)."""
-        total = self.base * self.n * (self.n - 1) // 2
-        for m in self.mult_map.values():
-            total += m - self.base
-        return total
+        return self._invariants()[1]
 
     def support_pairs(self):
         """Iterate (u, v, mult) over pairs with multiplicity >= 1."""
@@ -88,19 +110,16 @@ class Multigraph:
         return {(u, v): m for u, v, m in self.support_pairs()}
 
     def active_vertices(self) -> list[int]:
-        return [x for x, d in enumerate(self.degrees()) if d > 0]
+        return [x for x, d in enumerate(self._invariants()[0]) if d > 0]
 
     def max_mult(self) -> int:
-        mx = self.base if self.n >= 2 and (
-            len(self.mult_map) < self.n * (self.n - 1) // 2
-        ) else 0
-        for m in self.mult_map.values():
-            mx = max(mx, m)
-        return mx
+        return self._invariants()[2]
 
     def validate(self) -> None:
         """Check the degree identity sum(deg) = 2|E|."""
-        assert sum(self.degrees()) == 2 * self.edge_count()
+        deg, edges, _top = self._invariants()
+        if sum(deg) != 2 * edges:
+            raise TriplepackError("degree sum differs from twice the edge count")
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
@@ -142,8 +161,12 @@ def disjoint_union(graphs, pad_to_n: int) -> Multigraph:
         )
     mult = {}
     offset = 0
+    support = {}  # id -> support list; a leave repeats the same component
     for g in graphs:
-        for u, v, m in g.support_pairs():
+        pairs = support.get(id(g))
+        if pairs is None:
+            pairs = support[id(g)] = list(g.support_pairs())
+        for u, v, m in pairs:
             mult[(u + offset, v + offset)] = m
         offset += g.n
     out = Multigraph(pad_to_n, base=0, mult_map=mult)
@@ -197,7 +220,7 @@ def erdos_gallai_feasible(seq) -> bool:
 
     d = sorted(seq, reverse=True)
     n = len(d)
-    if any(x < 0 or x > n - 1 for x in d):
+    if d and (d[-1] < 0 or d[0] > n - 1):
         return False
     if sum(d) % 2 != 0:
         return False
@@ -245,24 +268,32 @@ def realize_degree_sequence(seq) -> Multigraph:
             break
         x = buckets[top].pop()
         d = residual[x]
-        # collect the d highest-residual other vertices
+        # collect the d highest-residual other vertices, popping each bucket
+        # from its end; bucket `level` holds exactly the vertices of
+        # residual `level`
         chosen = []
         level = top
         while len(chosen) < d and level > 0:
-            while buckets[level] and len(chosen) < d:
-                y = buckets[level].pop()
-                if residual[y] > 0:
-                    chosen.append(y)
+            bucket = buckets[level]
+            need = d - len(chosen)
+            if need >= len(bucket):
+                chosen += reversed(bucket)
+                bucket.clear()
+            else:
+                chosen += reversed(bucket[-need:])
+                del bucket[-need:]
             level -= 1
         if len(chosen) < d:
             raise InfeasibleSequenceError(f"degree sequence not realizable: {seq}")
         residual[x] = 0
         for y in chosen:
-            edges[_pair(x, y)] = 1
-            residual[y] -= 1
-            buckets[residual[y]].append(y)
+            edges[(x, y) if x < y else (y, x)] = 1
+            r = residual[y] - 1
+            residual[y] = r
+            buckets[r].append(y)
     g = Multigraph(n, base=0, mult_map=edges)
-    assert g.degrees() == seq, "realization degree check failed"
+    if g.degrees() != seq:
+        raise TriplepackError("realization degree check failed")
     return g
 
 
@@ -297,15 +328,15 @@ def check_leave_conditions(
     """Report which leave-graph conditions hold for (g, n, k, xi, sigma)."""
     if g.n != n:
         raise InvalidParameterError(f"graph order {g.n} != n = {n}")
-    edge_total = 2 * g.edge_count() == n * (n - 1) * (n - 2) - k * (k - 1) * (
-        k - 2
-    ) * xi
+    deg, edges, _top = g._invariants()
+    edge_total = 2 * edges == n * (n - 1) * (n - 2) - k * (k - 1) * (k - 2) * xi
+    # a leave has few distinct degrees and multiplicities: test each once
     target_deg = (n - 1) * (n - 2) % ((k - 1) * (k - 2))
-    degrees = all(d % ((k - 1) * (k - 2)) == target_deg for d in g.degrees())
+    degrees = all(d % ((k - 1) * (k - 2)) == target_deg for d in set(deg))
     target_m = (n - 2) % (k - 2)
     mults_ok = g.base % (k - 2) == target_m or len(g.mult_map) == n * (n - 1) // 2
     cap_ok = g.base <= sigma or len(g.mult_map) == n * (n - 1) // 2
-    for m in g.mult_map.values():
+    for m in set(g.mult_map.values()):
         if m % (k - 2) != target_m:
             mults_ok = False
         if m > sigma:

@@ -149,6 +149,33 @@ class TestDioph:
         x = json.loads(out)["solution"]
         assert x % 4 == 1 and x % 9 == 2 and x % 5 not in (0, 3)
 
+    def test_out_round_trips_through_verify(self, tmp_path, capsys):
+        src, out = tmp_path / "d.json", tmp_path / "sol.json"
+        inst = {"equalities": [[4, 1], [9, 2]], "avoidances": [[5, [0, 3]]]}
+        src.write_text(json.dumps(inst))
+        code, _, _ = run(capsys, "dioph", "--input", str(src), "--out", str(out))
+        assert code == OK
+        data = json.loads(out.read_text())
+        assert {k: data[k] for k in inst} == inst and "solution" in data
+        code, printed, _ = run(capsys, "verify", str(out))
+        assert code == OK and printed.strip() == "dioph: ok"
+
+    def test_tampered_solution_fails_verify(self, tmp_path, capsys):
+        src, out = tmp_path / "d.json", tmp_path / "sol.json"
+        src.write_text(json.dumps({"equalities": [[4, 1], [9, 2]]}))
+        run(capsys, "dioph", "--input", str(src), "--out", str(out))
+        data = json.loads(out.read_text())
+        data["solution"] += 1
+        out.write_text(json.dumps(data))
+        code, printed, _ = run(capsys, "verify", str(out))
+        assert code == FAIL and printed.strip() == "dioph: FAILED"
+
+    def test_bare_instance_fails_verify(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"equalities": [[4, 1], [9, 2]]}))
+        code, printed, _ = run(capsys, "verify", str(path))
+        assert code == FAIL and printed.strip() == "dioph: FAILED"
+
     def test_modulus_above_primality_bound(self, tmp_path, capsys):
         # 2**89 - 1 is prime, but above the proven Miller-Rabin bound
         path = tmp_path / "d.json"
@@ -217,6 +244,20 @@ class TestBadInput:
         argv = [str(path)] if command == "verify" else ["--input", str(path)]
         code, _, err = run(capsys, command, *argv)
         assert code == BAD_INPUT and err.startswith("error:")
+
+    # numbers that are not integers are refused, never truncated
+    @pytest.mark.parametrize("command, payload", [
+        ("verify", {"n": 7, "k": 3, "t": 2, "lambda": 1.9, "blocks": []}),
+        ("verify", {"n": 7, "k": 3, "t": 2, "lambda": 1, "blocks": [[0, 1, 2.7]]}),
+        ("dioph", {"equalities": [[4, 1.5]]}),
+        ("verify", {"n": 3, "edges": [[0, 1, True]]}),
+    ], ids=["lambda-float", "block-float", "dioph-float", "edge-bool"])
+    def test_non_integer_numbers(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        argv = [str(path)] if command == "verify" else ["--input", str(path)]
+        code, out, err = run(capsys, command, *argv)
+        assert code == BAD_INPUT and err.startswith("error:") and "ok" not in out
 
 
 def test_cli_imports_without_sympy():

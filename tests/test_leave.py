@@ -1,14 +1,21 @@
 """Leave constructions and the lower bounds they certify."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from triplepack.errors import NTooSmallError, WrongCaseError
 from triplepack.leave import (
+    _excess_multigraph,
     achieved_lower_bound,
     construct_p_leave,
     construct_q_leave,
     construct_r_leave,
 )
+from triplepack.multigraph import complete, overlay, realize_degree_sequence, scale
 from triplepack.params import CaseLabel, classify, johnson_bound, upper_bound
 
 
@@ -67,6 +74,34 @@ class TestCaseR:
             except (NTooSmallError, WrongCaseError):
                 continue
             assert cert.sigma <= n - 2, n
+
+    @pytest.mark.parametrize("k", range(5, 10))
+    def test_fused_build_equals_overlay_of_scaled_parts(self, k):
+        # the leave is built in one step as (k-2)G' + rK_n; it must equal
+        # the three-step overlay(scale(G', k-2), complete(n, r)) in every
+        # r-case residue class, at the smallest workable n of the class
+        period = k * (k - 1) * (k - 2)
+        classes = 0
+        for c in range(period):
+            n = c if c > k else c + period
+            if classify(n, k)[0] is not CaseLabel.R_NONZERO:
+                continue
+            while True:
+                try:
+                    cert = construct_r_leave(n, k)
+                    break
+                except NTooSmallError as exc:
+                    n = exc.min_n or n + period
+            p = cert.parameters
+            if "qhat" in p:
+                g_prime = _excess_multigraph(n, p["qhat"], k - 1)
+            else:
+                g_prime = realize_degree_sequence([p["gamma0"]] + [p["gamma"]] * (n - 1))
+            staged = overlay(scale(g_prime, k - 2), complete(n, p["r"]))
+            assert cert.graph.base == staged.base == p["r"], (n, k)
+            assert cert.graph.mult_map == staged.mult_map, (n, k)
+            classes += 1
+        assert classes > period // 2
 
 
 class TestCaseQ:
@@ -161,3 +196,31 @@ class TestDispatch:
         for n in (74, 134, 194):
             _, cert = achieved_lower_bound(n, 5)
             assert cert.sigma == 3
+
+
+def test_constructor_checks_survive_optimize_flag():
+    src = Path(__file__).resolve().parent.parent / "src"
+    # "assert 0" proves the flag took effect; with the leave-condition
+    # check broken, each constructor must still refuse its certificate
+    script = (
+        "import triplepack.leave as leave\n"
+        "from triplepack.errors import TriplepackError\n"
+        "from triplepack.multigraph import LeaveConditionReport\n"
+        "assert 0, 'assert statements are stripped'\n"
+        "leave.check_leave_conditions = lambda *a: LeaveConditionReport(True, True, True, False)\n"
+        "for build, n, k in ((leave.construct_r_leave, 12, 5),\n"
+        "                    (leave.construct_q_leave, 74, 5),\n"
+        "                    (leave.construct_p_leave, 11, 5)):\n"
+        "    try:\n"
+        "        build(n, k)\n"
+        "        print('accepted')\n"
+        "    except TriplepackError:\n"
+        "        print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3

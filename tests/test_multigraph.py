@@ -51,6 +51,36 @@ class TestMultigraph:
         assert complete(5, 3).max_mult() == 3
         assert Multigraph(5, mult_map={(0, 1): 7}).max_mult() == 7
 
+    def test_degrees_returns_a_fresh_list(self):
+        g = Multigraph(4, base=1, mult_map={(0, 1): 3})
+        first = g.degrees()
+        first[0] = 99
+        first.append(7)
+        assert g.degrees() == [5, 5, 3, 3]
+        assert g.degree(0) == 5 and g.active_vertices() == [0, 1, 2, 3]
+        with pytest.raises(InvalidParameterError):
+            g.degree(-1)
+
+    @given(
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=3),
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda p: p[0] != p[1]),
+            st.integers(min_value=0, max_value=5),
+            max_size=12,
+        ),
+    )
+    def test_invariants_match_a_recount(self, n, base, raw):
+        # pairs may come in either orientation (or both); the kept
+        # invariants must agree with a count over every pair
+        mults = {p: m for p, m in raw.items() if max(p) < n}
+        g = Multigraph(n, base=base, mult_map=mults)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert g.degrees() == [sum(g.mult(x, y) for y in range(n)) for x in range(n)]
+        assert g.edge_count() == sum(g.mult(u, v) for u, v in pairs)
+        assert g.max_mult() == max((g.mult(u, v) for u, v in pairs), default=0)
+        g.validate()
+
 
 class TestBuilders:
     def test_complete(self):
