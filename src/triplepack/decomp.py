@@ -6,6 +6,20 @@ pair with the fewest completing third vertices, choosing all triangles
 through that pair at once.  "Distinct" means no triangle (as a vertex
 set) is used twice, so the triangles through a pair have pairwise
 distinct third vertices.
+
+The search state is a bitset kernel over the active vertices, renumbered
+0..V-1 in label order (so bit order is label order):
+
+- ``rem``, a flat V*V list of remaining pair multiplicities;
+- ``adj[a]``, an integer whose bit b is set while pair (a, b) still has
+  multiplicity >= 1;
+- ``allowed[a*V+b]``, the third vertices c with {a, b, c} not forbidden.
+
+The candidates for pair (a, b) are ``adj[a] & adj[b] & allowed[a*V+b]``,
+counted with ``int.bit_count``.  Triangles already chosen need no entry:
+choosing the triangles through a pair sets that pair to 0 for the whole
+subtree, so no triangle through it can be a candidate again.  A branch is
+applied and undone in place.
 """
 
 from __future__ import annotations
@@ -15,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
 
 Triple = tuple[int, int, int]
@@ -62,76 +76,127 @@ def verify_decomposition(g: Multigraph, cliques) -> bool:
     return True
 
 
+def _check_decomposition(g: Multigraph, cliques) -> None:
+    """Postcondition of every FOUND answer; an explicit check, so it also
+    runs under ``python -O``."""
+    if not verify_decomposition(g, cliques):
+        raise TriplepackError("triangle decomposition failed verification")
+
+
 # ---------------------------------------------------------------------------
 # exact triangle search
 # ---------------------------------------------------------------------------
 
 
-class _Budget:
-    __slots__ = ("limit", "nodes")
+def _triangle_search(g: Multigraph, forbidden, budget: int | None):
+    """Cover every pair of g exactly its multiplicity many times by
+    distinct triangles, none of them in ``forbidden``.
 
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self) -> bool:
-        self.nodes += 1
-        return self.limit is not None and self.nodes > self.limit
-
-
-def _triangle_search(rem: dict, vertices, chosen_set: set, budget: _Budget):
-    """Cover every pair exactly rem[pair] times by distinct triangles.
-
-    Returns (status, list-of-triples).  ``rem`` is mutated and restored.
-    ``chosen_set`` holds forbidden triples (and grows with the partial
-    solution).
+    Returns (status, list-of-triples, nodes); every subset of triangles
+    tried is one node, and BUDGET is returned on the node past ``budget``.
     """
-    uncovered = [p for p, m in rem.items() if m > 0]
-    if not uncovered:
-        return SearchStatus.FOUND, []
-    # most-constrained pair first
-    best = None
-    for (u, v) in uncovered:
-        cands = [
-            w
-            for w in vertices
-            if w != u
-            and w != v
-            and rem.get(_p(u, w), 0) >= 1
-            and rem.get(_p(v, w), 0) >= 1
-            and _t(u, v, w) not in chosen_set
-        ]
-        need = rem[(u, v)]
-        if need > len(cands):
-            return SearchStatus.NONE, None
-        width = comb(len(cands), need)
-        if best is None or width < best[0]:
-            best = (width, (u, v), need, cands)
-            if width == 1:
+    active = g.active_vertices()
+    size = len(active)
+    bits = [1 << i for i in range(size)]
+    rem = [0] * (size * size)  # remaining multiplicity, both orientations
+    adj = [0] * size  # adj[a]: the b with rem[a*size+b] >= 1
+    pairs = []  # (a, b, a*size+b) for a < b, in scan order
+    for a, u in enumerate(active):
+        for b in range(a + 1, size):
+            m = g.mult(u, active[b])
+            ab = a * size + b
+            pairs.append((a, b, ab))
+            if m:
+                rem[ab] = rem[b * size + a] = m
+                adj[a] |= bits[b]
+                adj[b] |= bits[a]
+    # allowed[a*size+b], a < b: the c with {a, b, c} not forbidden.  A
+    # chosen triangle needs no entry: its branching pair stays at 0 below
+    # it.  A forbidden triple off three distinct active vertices is never
+    # a candidate anyway
+    allowed = [(1 << size) - 1] * (size * size)
+    index = {x: i for i, x in enumerate(active)}
+    for t in forbidden:
+        abc = {index.get(x) for x in t}
+        if len(abc) == 3 and None not in abc:
+            a, b, c = sorted(abc)
+            allowed[a * size + b] &= ~bits[c]
+            allowed[a * size + c] &= ~bits[b]
+            allowed[b * size + c] &= ~bits[a]
+
+    out = []
+    nodes = 0
+
+    def search():
+        # most-constrained pair first: the first strict minimum of
+        # C(candidates, need) in lexicographic pair order
+        nonlocal nodes
+        best = None
+        for a, b, ab in pairs:
+            need = rem[ab]
+            if need:
+                cand = adj[a] & adj[b] & allowed[ab]
+                cnt = cand.bit_count()
+                if need > cnt:
+                    return SearchStatus.NONE
+                width = comb(cnt, need)
+                if best is None or width < best[0]:
+                    best = (width, a, b, ab, need, cand)
+                    if width == 1:
+                        break
+        if best is None:
+            return SearchStatus.FOUND
+        _, a, b, ab, need, cand = best
+        ws = [w for w in range(size) if cand & bits[w]]
+        ba = b * size + a
+        bit_a, bit_b = bits[a], bits[b]
+        rem[ab] = rem[ba] = 0
+        adj[a] ^= bit_b
+        adj[b] ^= bit_a
+        status = SearchStatus.NONE
+        for subset in combinations(ws, need):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                status = SearchStatus.BUDGET
                 break
-    _, (u, v), need, cands = best
-    saw_budget = False
-    for subset in combinations(cands, need):
-        if budget.tick():
-            return SearchStatus.BUDGET, None
-        triples = [_t(u, v, w) for w in subset]
-        rem[(u, v)] = 0
-        for w in subset:
-            rem[_p(u, w)] -= 1
-            rem[_p(v, w)] -= 1
-        chosen_set.update(triples)
-        status, rest = _triangle_search(rem, vertices, chosen_set, budget)
-        chosen_set.difference_update(triples)
-        rem[(u, v)] = need
-        for w in subset:
-            rem[_p(u, w)] += 1
-            rem[_p(v, w)] += 1
-        if status is SearchStatus.FOUND:
-            return status, triples + rest
-        if status is SearchStatus.BUDGET:
-            saw_budget = True
-            break
-    return (SearchStatus.BUDGET if saw_budget else SearchStatus.NONE), None
+            # apply the branch in place; a pair that drops to 0 leaves adj
+            for w in subset:
+                aw, wa = a * size + w, w * size + a
+                bw, wb = b * size + w, w * size + b
+                r = rem[aw] = rem[wa] = rem[aw] - 1
+                if not r:
+                    adj[a] ^= bits[w]
+                    adj[w] ^= bit_a
+                r = rem[bw] = rem[wb] = rem[bw] - 1
+                if not r:
+                    adj[b] ^= bits[w]
+                    adj[w] ^= bit_b
+            status = search()
+            for w in subset:
+                aw, wa = a * size + w, w * size + a
+                bw, wb = b * size + w, w * size + b
+                r = rem[aw]
+                rem[aw] = rem[wa] = r + 1
+                if not r:
+                    adj[a] ^= bits[w]
+                    adj[w] ^= bit_a
+                r = rem[bw]
+                rem[bw] = rem[wb] = r + 1
+                if not r:
+                    adj[b] ^= bits[w]
+                    adj[w] ^= bit_b
+            if status is SearchStatus.FOUND:
+                out.extend((a, b, w) for w in subset)
+            if status is not SearchStatus.NONE:
+                break
+        rem[ab] = rem[ba] = need
+        adj[a] ^= bit_b
+        adj[b] ^= bit_a
+        return status
+
+    status = search()
+    triples = [_t(active[a], active[b], active[c]) for a, b, c in out]
+    return status, triples, nodes
 
 
 def _p(a, b):
@@ -211,7 +276,6 @@ def find_triangle_decomposition(
     search runs on the complementary multiplicity and complements the
     answer inside the set of transverse triples.
     """
-    budget_state = _Budget(budget)
     if g.edge_count() == 0:
         return DecompositionResult(SearchStatus.FOUND, (), 0)
     if _quick_infeasible(g):
@@ -240,21 +304,15 @@ def find_triangle_decomposition(
                     return res
                 keep = set(res.cliques)
                 out = tuple(t for t in _all_transverse_triples(parts) if t not in keep)
-                assert verify_decomposition(g, out)
+                _check_decomposition(g, out)
                 return DecompositionResult(SearchStatus.FOUND, out, res.nodes)
 
-    rem = {}
-    vertices = g.active_vertices()
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            rem[(u, v)] = g.mult(u, v)
-    chosen = set(_t(*c) for c in forbidden)
-    status, triples = _triangle_search(rem, vertices, chosen, budget_state)
+    status, triples, nodes = _triangle_search(g, forbidden, budget)
     if status is SearchStatus.FOUND:
         out = tuple(sorted(triples))
-        assert verify_decomposition(g, out)
-        return DecompositionResult(status, out, budget_state.nodes)
-    return DecompositionResult(status, None, budget_state.nodes)
+        _check_decomposition(g, out)
+        return DecompositionResult(status, out, nodes)
+    return DecompositionResult(status, None, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +458,7 @@ def decompose_via_reduction(
     )
     if res.status is SearchStatus.FOUND:
         combined = tuple(sorted(trace.cliques + res.cliques))
-        assert verify_decomposition(g, combined)
+        _check_decomposition(g, combined)
         return DecompositionResult(SearchStatus.FOUND, combined, res.nodes)
     if res.status is SearchStatus.NONE and not trace.cliques and not trace.stalled():
         return DecompositionResult(SearchStatus.NONE, None, res.nodes)

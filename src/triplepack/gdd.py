@@ -18,7 +18,7 @@ from .decomp import (
     SearchStatus,
     find_triangle_decomposition,
 )
-from .errors import DisjointnessError, InvalidParameterError
+from .errors import DisjointnessError, InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
 
 
@@ -183,7 +183,8 @@ def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
     if res.status is not SearchStatus.FOUND:
         return res.status, None, res.nodes
     inst = GddInstance(groups=_contiguous_groups(g, u), blocks=res.cliques, lam=lam)
-    assert verify_gdd(inst, require_simple=True)
+    if not verify_gdd(inst, require_simple=True):
+        raise TriplepackError("searched GDD failed verification")
     return SearchStatus.FOUND, inst, res.nodes
 
 

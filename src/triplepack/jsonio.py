@@ -42,10 +42,13 @@ def _int(x) -> int:
 
 def multigraph_from_dict(d: dict) -> Multigraph:
     mult_map = {}
-    for u, v, m in d.get("edges", []):
+    edges = d.get("edges", [])
+    for u, v, m in edges:
         if type(u) is not int or type(v) is not int or type(m) is not int:
             raise InvalidParameterError(f"edge entries must be integers, got {[u, v, m]}")
         mult_map[(u, v)] = m
+    if len(mult_map) != len(edges):
+        raise InvalidParameterError("a pair is listed more than once")
     return Multigraph(_int(d["n"]), base=_int(d.get("base", 0)), mult_map=mult_map)
 
 

@@ -30,6 +30,7 @@ from math import gcd
 
 from .decomp import dehon_conditions
 from .errors import (
+    InfeasibleSequenceError,
     NTooSmallError,
     ParameterSearchExhaustedError,
     TriplepackError,
@@ -147,8 +148,9 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
         g_prime = _excess_multigraph(n, qhat, k - 1)
         params = {"r": r, "gamma": 0, "gamma0": gamma0, "qhat": qhat}
     else:
-        seq = [gamma0] + [gamma] * (n - 1)
-        if not erdos_gallai_feasible(seq):
+        try:
+            g_prime = realize_degree_sequence([gamma0] + [gamma] * (n - 1))
+        except InfeasibleSequenceError:
             period = k * (k - 1) * (k - 2)
             min_n = n + period
             while not erdos_gallai_feasible([gamma0] + [gamma] * (min_n - 1)):
@@ -157,8 +159,7 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
                 f"degree sequence [{gamma0}, {gamma}^(n-1)] needs more "
                 f"vertices; smallest workable n in this residue class is {min_n}",
                 min_n=min_n,
-            )
-        g_prime = realize_degree_sequence(seq)
+            ) from None
         params = {"r": r, "gamma": gamma, "gamma0": gamma0}
 
     # (k-2)G' + rK_n in one step: G' has base 0, so every pair not in its

@@ -48,6 +48,8 @@ class Multigraph:
             else:
                 ok = 0 <= v and u < n and u != v
                 p = (v, u)
+                if ok and p in self.mult_map:
+                    raise InvalidParameterError(f"pair {p} listed in both orientations")
             if not ok or m < 0:
                 raise InvalidParameterError(_bad_entry(u, v, n))
             if m != base:

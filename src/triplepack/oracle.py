@@ -317,13 +317,13 @@ def _bricks_of_weight(w, unit, prune=True):
             yield from fill(0, 1)
 
 
-def _decomposable_brick_weights(max_weight, unit, prune=True, trace=None):
-    """Weights w <= max_weight admitting a triangle-decomposable brick.
+def _decomposable_brick_weights(weights, unit, prune=True, trace=None):
+    """Which of the given brick weights admit a triangle-decomposable brick.
 
     Returns dict w -> example brick (multiplicity matrix) or None.
     """
     out = {}
-    for w in range(3, max_weight + 1):
+    for w in weights:
         found = None
         for mat in _bricks_of_weight(w, unit, prune=prune):
             v = len(mat)
@@ -414,8 +414,17 @@ def search_leave_nonexistence(
                 if 3 <= w <= total_weight and w not in weights and dehon_conditions(m, lam):
                     weights[w] = complete(m, lam)
     if not _reaches(weights, total_weight):
+        # every brick weighs at least 3, so a weight w can sit in a multiset
+        # summing to the total only if the rest, total - w, is 0 or >= 3
         enumerated = _decomposable_brick_weights(
-            min(total_weight, n), unit, prune=prune, trace=trace
+            [
+                w
+                for w in range(3, min(total_weight, n) + 1)
+                if total_weight - w == 0 or total_weight - w >= 3
+            ],
+            unit,
+            prune=prune,
+            trace=trace,
         )
         for w, g in enumerated.items():
             if weights.get(w) is None:

@@ -237,6 +237,9 @@ class TestBadInput:
         ("decompose", {"n": 4, "edges": [5]}),
         ("verify", {"n": 7, "k": 3, "t": 2, "lambda": "one", "blocks": []}),
         ("verify", 5),
+        # a pair listed twice, in the same or the reverse orientation
+        ("verify", {"n": 3, "edges": [[0, 1, 2], [0, 1, 3]]}),
+        ("verify", {"n": 3, "edges": [[1, 0, 2], [0, 1, 3]]}),
     ])
     def test_malformed_json_values(self, tmp_path, capsys, command, payload):
         path = tmp_path / "bad.json"

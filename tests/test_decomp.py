@@ -1,7 +1,16 @@
 """Triangle decomposition engine, Dehon predicate, clique reduction."""
 
-import pytest
+import os
+import subprocess
+import sys
+from itertools import combinations
+from math import comb
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from triplepack import decomp
 from triplepack.decomp import (
     SearchStatus,
     clique_reduction,
@@ -11,6 +20,7 @@ from triplepack.decomp import (
     verify_decomposition,
 )
 from triplepack.errors import InvalidParameterError
+from triplepack.gdd import gadget_multigraph
 from triplepack.multigraph import Multigraph, complete
 
 
@@ -155,3 +165,170 @@ class TestCliqueReduction:
     def test_q_not_3_rejected(self):
         with pytest.raises(InvalidParameterError):
             decompose_via_reduction(complete(5, 2), 4, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the bitset kernel walks the same search tree as a plain dict-based search
+# ---------------------------------------------------------------------------
+
+
+def _reference_search(g, forbidden, budget):
+    """Dict-based pair-driven search, kept here only as the reference the
+    bitset kernel must match node for node.  Same contract as
+    ``decomp._triangle_search``: (status, triples, nodes)."""
+    active = g.active_vertices()
+    rem = {}
+    for i, u in enumerate(active):
+        for v in active[i + 1 :]:
+            rem[(u, v)] = g.mult(u, v)
+    chosen = {tuple(sorted(t)) for t in forbidden}
+    nodes = 0
+
+    def pair(a, b):
+        return (a, b) if a < b else (b, a)
+
+    def search():
+        nonlocal nodes
+        best = None
+        for (u, v), need in rem.items():
+            if not need:
+                continue
+            cands = [
+                w
+                for w in active
+                if w != u
+                and w != v
+                and rem.get(pair(u, w), 0) >= 1
+                and rem.get(pair(v, w), 0) >= 1
+                and tuple(sorted((u, v, w))) not in chosen
+            ]
+            if need > len(cands):
+                return SearchStatus.NONE, None
+            width = comb(len(cands), need)
+            if best is None or width < best[0]:
+                best = (width, (u, v), need, cands)
+                if width == 1:
+                    break
+        if best is None:
+            return SearchStatus.FOUND, []
+        _, (u, v), need, cands = best
+        for subset in combinations(cands, need):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return SearchStatus.BUDGET, None
+            triples = [tuple(sorted((u, v, w))) for w in subset]
+            rem[(u, v)] = 0
+            for w in subset:
+                rem[pair(u, w)] -= 1
+                rem[pair(v, w)] -= 1
+            chosen.update(triples)
+            status, rest = search()
+            chosen.difference_update(triples)
+            rem[(u, v)] = need
+            for w in subset:
+                rem[pair(u, w)] += 1
+                rem[pair(v, w)] += 1
+            if status is SearchStatus.FOUND:
+                return status, triples + rest
+            if status is SearchStatus.BUDGET:
+                return status, None
+        return SearchStatus.NONE, None
+
+    status, triples = search()
+    return status, triples, nodes
+
+
+def _both(monkeypatch, g, **kw):
+    """(kernel answer, reference answer) of find_triangle_decomposition,
+    each as (status, cliques, nodes)."""
+    got = find_triangle_decomposition(g, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(decomp, "_triangle_search", _reference_search)
+        want = find_triangle_decomposition(g, **kw)
+    return (got.status, got.cliques, got.nodes), (want.status, want.cliques, want.nodes)
+
+
+class TestKernelMatchesReference:
+    def test_complete_grid(self, monkeypatch):
+        for n in range(3, 10):
+            for lam in range(1, 9):
+                got, want = _both(monkeypatch, complete(n, lam))
+                assert got == want, (n, lam)
+
+    def test_gdd_grid(self, monkeypatch):
+        for u in range(3, 11):
+            for g in range(1, 11):
+                if g * u > 10:
+                    continue
+                for lam in range(1, 9):
+                    got, want = _both(monkeypatch, gadget_multigraph(g, u, lam))
+                    assert got == want, (g, u, lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.sets(st.integers(0, n - 1), min_size=3, max_size=3), max_size=3 * n),
+                st.lists(
+                    st.lists(st.integers(0, n - 1), min_size=3, max_size=3), max_size=6
+                ),
+            )
+        ),
+        st.one_of(st.none(), st.integers(0, 300)),
+    )
+    def test_random_multigraphs(self, data, budget):
+        # sums of triangles pass the parity and edge-count shortcuts, so
+        # most examples reach the search
+        n, triangles, forbidden = data
+        mults = {}
+        for t in triangles:
+            for p in combinations(sorted(t), 2):
+                mults[p] = mults.get(p, 0) + 1
+        assume(max(mults.values(), default=0) <= 3)
+        g = Multigraph(n, mult_map=mults)
+        got = find_triangle_decomposition(g, budget=budget, forbidden=forbidden)
+        # monkeypatch is function-scoped, so patch by hand under Hypothesis
+        kernel = decomp._triangle_search
+        decomp._triangle_search = _reference_search
+        try:
+            want = find_triangle_decomposition(g, budget=budget, forbidden=forbidden)
+        finally:
+            decomp._triangle_search = kernel
+        assert (got.status, got.cliques, got.nodes) == (want.status, want.cliques, want.nodes)
+
+    def test_3k9_pinned(self):
+        res = find_triangle_decomposition(complete(9, 3))
+        assert res.status is SearchStatus.FOUND and res.nodes == 17390
+        capped = find_triangle_decomposition(complete(9, 3), budget=1000)
+        assert capped.status is SearchStatus.BUDGET and capped.nodes == 1001
+        assert capped.cliques is None
+
+
+def test_postconditions_survive_optimize_flag():
+    # with verification failing on the input graph, every FOUND path must
+    # refuse its answer: the main search, the multipartite mirror (3K5),
+    # and the reduction (whose residual search still verifies)
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import triplepack.decomp as decomp\n"
+        "from triplepack.errors import TriplepackError\n"
+        "from triplepack.multigraph import complete\n"
+        "assert 0, 'assert statements are stripped'\n"
+        "for g, run in ((complete(7, 1), decomp.find_triangle_decomposition),\n"
+        "               (complete(5, 3), decomp.find_triangle_decomposition),\n"
+        "               (complete(7, 2), lambda g: decomp.decompose_via_reduction(g, 3, 2, 2))):\n"
+        "    decomp.verify_decomposition = lambda h, cliques, g=g: h is not g\n"
+        "    try:\n"
+        "        run(g)\n"
+        "        print('accepted')\n"
+        "    except TriplepackError:\n"
+        "        print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3

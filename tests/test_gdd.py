@@ -1,5 +1,10 @@
 """Group divisible designs: predicates, search, assembly, juxtaposition."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from triplepack.decomp import SearchStatus, verify_decomposition
@@ -115,6 +120,28 @@ class TestSearch:
         inst = assemble_simple_gdd(2, 3, cap)
         assert inst is not None and verify_gdd(inst)
         assert assemble_simple_gdd(2, 3, cap + 1) is None
+
+
+def test_search_postcondition_survives_optimize_flag():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import triplepack.gdd as gdd\n"
+        "from triplepack.errors import TriplepackError\n"
+        "assert 0, 'assert statements are stripped'\n"
+        "gdd.verify_gdd = lambda *a, **kw: False\n"
+        "try:\n"
+        "    gdd.search_simple_gdd(1, 7, 1)\n"
+        "    print('accepted')\n"
+        "except TriplepackError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"]
 
 
 class TestVerifyGdd:

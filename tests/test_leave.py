@@ -41,6 +41,32 @@ class TestCaseR:
         assert cert.conditions().all_pass()
         assert cert.parameters["qhat"] == 6
 
+    def test_one_erdos_gallai_run_per_certificate(self, monkeypatch):
+        import triplepack.leave as leave_mod
+        import triplepack.multigraph as mg
+
+        calls = []
+        feasible = mg.erdos_gallai_feasible
+
+        def counted(seq):
+            calls.append(len(seq))
+            return feasible(seq)
+
+        monkeypatch.setattr(mg, "erdos_gallai_feasible", counted)
+        monkeypatch.setattr(leave_mod, "erdos_gallai_feasible", counted)
+        for n, k in ((1999, 5), (12, 5), (1000, 8)):
+            calls.clear()
+            construct_r_leave(n, k)
+            assert calls == [n], (n, k)
+
+    def test_infeasible_sequence_min_n(self):
+        # the degree sequence is not graphical at these n; the smallest
+        # workable n of the residue class is unchanged
+        for n, k, min_n in ((7, 5, 67), (8, 6, 128), (9, 7, 219), (18, 7, 228)):
+            with pytest.raises(NTooSmallError, match="degree sequence") as exc:
+                construct_r_leave(n, k)
+            assert exc.value.min_n == min_n
+
     def test_13_5_multiplicity_guard(self):
         # qhat = 2 forces a pair at multiplicity 14 > n - 2 = 11, which
         # can never decompose; the constructor refuses and points at the

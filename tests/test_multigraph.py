@@ -35,6 +35,11 @@ class TestMultigraph:
         assert g.edge_count() == 8
         g.validate()
 
+    @pytest.mark.parametrize("mult_map", [{(1, 0): 2, (0, 1): 3}, {(0, 1): 3, (1, 0): 2}])
+    def test_rejects_pair_in_both_orientations(self, mult_map):
+        with pytest.raises(InvalidParameterError, match="both orientations"):
+            Multigraph(3, mult_map=mult_map)
+
     def test_rejects_loops_and_negatives(self):
         with pytest.raises(InvalidParameterError):
             Multigraph(3, mult_map={(1, 1): 1})
@@ -71,9 +76,14 @@ class TestMultigraph:
         ),
     )
     def test_invariants_match_a_recount(self, n, base, raw):
-        # pairs may come in either orientation (or both); the kept
-        # invariants must agree with a count over every pair
+        # pairs may come in either orientation; the kept invariants must
+        # agree with a count over every pair.  A pair listed in both
+        # orientations is refused
         mults = {p: m for p, m in raw.items() if max(p) < n}
+        if any((v, u) in mults for u, v in mults):
+            with pytest.raises(InvalidParameterError):
+                Multigraph(n, base=base, mult_map=mults)
+            return
         g = Multigraph(n, base=base, mult_map=mults)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         assert g.degrees() == [sum(g.mult(x, y) for y in range(n)) for x in range(n)]

@@ -79,6 +79,36 @@ class TestLeaveNonexistence:
         assert total == 14 * 13 * 12 - 5 * 4 * 3 * 35
         assert sum(g.n for g in rep.witness) <= 14
 
+    @pytest.mark.parametrize("args, enumerated, status, value, witness", [
+        ((14, 5, 35, False, True), [3, 4, 7], "none-exists", 35, []),
+        ((14, 5, 35, False, False), [3, 4, 7], "none-exists", 35, []),
+        ((38, 5, 842, False, True), [3, 4, 5, 8], "none-exists", 842, []),
+        ((38, 5, 842, False, False), [3, 4, 5, 8], "none-exists", 842, []),
+        ((14, 5, None, True, True), [], "witness-found", 34,
+         [{"n": 5, "edges": [], "base": 3}, {"n": 7, "edges": [], "base": 2}]),
+    ])
+    def test_skips_weights_that_cannot_reach_the_total(
+        self, monkeypatch, args, enumerated, status, value, witness
+    ):
+        # total weights 7 and 8: w = total - 1, total - 2 can be in no
+        # multiset of bricks (each weighs >= 3) and are never enumerated;
+        # the relaxed (14, 5) run is settled by lam*K_m coins alone
+        from triplepack import oracle
+        from triplepack.jsonio import multigraph_to_dict
+
+        seen = []
+        bricks = oracle._bricks_of_weight
+
+        def record(w, *a, **kw):
+            seen.append(w)
+            return bricks(w, *a, **kw)
+
+        monkeypatch.setattr(oracle, "_bricks_of_weight", record)
+        rep = search_leave_nonexistence(*args)
+        assert sorted(set(seen)) == enumerated
+        assert rep.status.value == status and rep.value == value
+        assert [multigraph_to_dict(g) for g in rep.witness or ()] == witness
+
     def test_witness_pieces_decompose(self):
         from triplepack.decomp import SearchStatus, find_triangle_decomposition
 
