@@ -59,5 +59,22 @@ from .params import (
     upper_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DecompositionResult", "SearchStatus", "clique_reduction",
+    "decompose_via_reduction", "dehon_conditions",
+    "find_triangle_decomposition", "verify_decomposition",
+    "DiophInstance", "crt", "prime_power_split", "solve_avoidance",
+    "GddInstance", "GddShape", "gadget_multigraph", "juxtapose",
+    "lgdd_exists", "search_simple_gdd", "simple_gdd_exists",
+    "simple_ts_exists", "verify_gdd",
+    "LeaveCertificate", "achieved_lower_bound", "construct_p_leave",
+    "construct_q_leave", "construct_r_leave",
+    "Multigraph", "check_leave_conditions", "complete", "disjoint_union",
+    "erdos_gallai_feasible", "overlay", "realize_degree_sequence", "scale",
+    "BlockCollection", "ReportStatus", "SearchReport", "max_packing",
+    "search_leave_nonexistence", "verify_packing",
+    "CaseData", "CaseLabel", "classify", "j_prime", "johnson_bound",
+    "packing_number_k4", "packing_number_t2", "recursion_upper",
+    "upper_bound",
+]
 __version__ = "0.1.0"

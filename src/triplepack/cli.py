@@ -32,11 +32,6 @@ from .params import classify, j_prime, johnson_bound, upper_bound
 OK, FAIL, BAD_INPUT, BUDGET = 0, 1, 2, 3
 
 
-def _default_budget():
-    raw = os.environ.get("TRIPLEPACK_BUDGET")
-    return int(raw) if raw else None
-
-
 def _parse_range(spec: str):
     if ".." in spec:
         lo, hi = spec.split("..", 1)
@@ -217,6 +212,9 @@ def _build_parser():
         description="Bounds, constructions and certificates for triple packing numbers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse converts a string default with ``type`` and reports a bad
+    # one as a usage error; an unset or empty variable means no budget
+    budget = os.environ.get("TRIPLEPACK_BUDGET") or None
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -239,14 +237,14 @@ def _build_parser():
 
     p = add("decompose", _cmd_decompose, help="triangle-decompose a multigraph")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=budget)
 
     p = add("gdd", _cmd_gdd, help="GDD existence predicates / witness search")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--lam", type=int, required=True)
     p.add_argument("--search", action="store_true")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=budget)
 
     p = add("dioph", _cmd_dioph, help="solve a congruence/avoidance instance")
     p.add_argument("--input", required=True)
@@ -255,7 +253,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=3)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=budget)
 
     p = add("verify", _cmd_verify, help="re-check a JSON artifact")
     p.add_argument("input")
@@ -272,8 +270,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # malformed input: bad numbers (ValueError, which covers JSON syntax
-    # errors), wrongly shaped JSON values (TypeError) or missing keys
-    except (TriplepackError, FileNotFoundError, KeyError, ValueError, TypeError) as exc:
+    # errors), wrongly shaped JSON values (TypeError), missing keys, or a
+    # path that cannot be read or written (OSError)
+    except (TriplepackError, OSError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

@@ -30,7 +30,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvalidParameterError, TriplepackError
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _pair
 
 Triple = tuple[int, int, int]
 
@@ -195,16 +195,8 @@ def _triangle_search(g: Multigraph, forbidden, budget: int | None):
         return status
 
     status = search()
-    triples = [_t(active[a], active[b], active[c]) for a, b, c in out]
+    triples = [tuple(sorted((active[a], active[b], active[c]))) for a, b, c in out]
     return status, triples, nodes
-
-
-def _p(a, b):
-    return (a, b) if a < b else (b, a)
-
-
-def _t(a, b, c):
-    return tuple(sorted((a, b, c)))
 
 
 def _quick_infeasible(g: Multigraph) -> bool:
@@ -252,16 +244,15 @@ def _uniform_multipartite_shape(g: Multigraph):
     return active, parts, lam
 
 
-def _all_transverse_triples(parts) -> list:
-    out = []
-    flat = []
-    for i, part in enumerate(parts):
-        flat.extend((v, i) for v in part)
-    verts = sorted(flat)
-    for (a, pa), (b, pb), (c, pc) in combinations(verts, 3):
-        if pa != pb and pb != pc and pa != pc:
-            out.append(_t(a, b, c))
-    return out
+def transverse_triples(parts) -> list:
+    """Every triple of points from three distinct parts, as sorted tuples
+    in lexicographic order."""
+    part_of = {x: i for i, part in enumerate(parts) for x in part}
+    return [
+        (a, b, c)
+        for a, b, c in combinations(sorted(part_of), 3)
+        if part_of[a] != part_of[b] != part_of[c] != part_of[a]
+    ]
 
 
 def find_triangle_decomposition(
@@ -293,7 +284,7 @@ def find_triangle_decomposition(
                     g.n,
                     base=0,
                     mult_map={
-                        _p(u, v): cap - lam
+                        (u, v): cap - lam
                         for i, u in enumerate(active)
                         for v in active[i + 1 :]
                         if g.mult(u, v) > 0
@@ -303,7 +294,7 @@ def find_triangle_decomposition(
                 if res.status is not SearchStatus.FOUND:
                     return res
                 keep = set(res.cliques)
-                out = tuple(t for t in _all_transverse_triples(parts) if t not in keep)
+                out = tuple(t for t in transverse_triples(parts) if t not in keep)
                 _check_decomposition(g, out)
                 return DecompositionResult(SearchStatus.FOUND, out, res.nodes)
 
@@ -390,7 +381,7 @@ def clique_reduction(
     stalls = []
 
     def edge(a, b):
-        return rem.get(_p(a, b), 0)
+        return rem.get(_pair(a, b), 0)
 
     for xi in order:
         for x in gamma[xi]:
@@ -421,7 +412,7 @@ def clique_reduction(
                 chosen.append(clique)
                 chosen_set.add(clique)
                 for a, b in combinations(clique, 2):
-                    rem[_p(a, b)] -= 1
+                    rem[a, b] -= 1
                 for v in clique:
                     appearance[v] += 1
 

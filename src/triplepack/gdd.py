@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .decomp import (
-    DecompositionResult,
     SearchStatus,
+    dehon_conditions,
     find_triangle_decomposition,
+    transverse_triples,
 )
 from .errors import DisjointnessError, InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
@@ -96,14 +97,11 @@ def verify_gdd(inst: GddInstance, require_simple: bool = True) -> bool:
 
 def simple_ts_exists(u: int, lam: int) -> bool:
     """Existence of a simple (3, lam)-GDD(1^u), i.e. a simple triple
-    system: 1 <= lam <= u-2, lam(u-1) even, lam*u*(u-1) divisible by 6."""
+    system, which is a distinct triangle decomposition of lam*K_u: 1 <= lam
+    <= u-2, lam(u-1) even, lam*u*(u-1) divisible by 6 (Dehon)."""
     if u < 1:
         raise InvalidParameterError("need u >= 1")
-    return (
-        1 <= lam <= u - 2
-        and lam * (u - 1) % 2 == 0
-        and lam * u * (u - 1) % 6 == 0
-    )
+    return u >= 3 and lam >= 1 and dehon_conditions(u, lam)
 
 
 def lgdd_exists(g: int, u: int, lam: int) -> bool:
@@ -210,16 +208,6 @@ def search_disjoint_simple_gdds(
     return SearchStatus.FOUND, tuple(instances)
 
 
-def _transverse_triples(g: int, u: int) -> set:
-    """All triples of 0..gu-1 with pairwise distinct contiguous groups."""
-    pts = range(g * u)
-    return {
-        (a, b, c)
-        for a, b, c in combinations(pts, 3)
-        if a // g != b // g and b // g != c // g and a // g != c // g
-    }
-
-
 def assemble_simple_gdd(
     g: int, u: int, lam: int, budget: int | None = None
 ) -> GddInstance | None:
@@ -236,10 +224,11 @@ def assemble_simple_gdd(
     cap = g * (u - 2)
     if not 0 <= lam <= cap:
         return None
+    groups = _contiguous_groups(g, u)
     targets = sorted(((lam, False), (cap - lam, True)), key=lambda t: t[0])
     for target, complement in targets:
         if target == 0:
-            blocks = tuple(sorted(_transverse_triples(g, u))) if complement else ()
+            blocks = tuple(transverse_triples(groups)) if complement else ()
         else:
             base = next(
                 (b for b in range(1, target + 1)
@@ -255,8 +244,9 @@ def assemble_simple_gdd(
                 continue
             blocks = tuple(sorted(b for inst in insts for b in inst.blocks))
             if complement:
-                blocks = tuple(sorted(_transverse_triples(g, u) - set(blocks)))
-        inst = GddInstance(groups=_contiguous_groups(g, u), blocks=blocks, lam=lam)
+                used = set(blocks)
+                blocks = tuple(t for t in transverse_triples(groups) if t not in used)
+        inst = GddInstance(groups=groups, blocks=blocks, lam=lam)
         if verify_gdd(inst, require_simple=True):
             return inst
     status, inst, _ = search_simple_gdd(g, u, lam, budget=budget)

@@ -9,7 +9,8 @@ uniform background multiplicity so near-complete multigraphs stay small
 on disk.
 
 Readers refuse every number that is not a JSON integer (floats, booleans,
-strings) with InvalidParameterError instead of rounding it.
+strings) with InvalidParameterError instead of rounding it, and likewise
+any other value where a JSON object is expected.
 """
 
 from __future__ import annotations
@@ -40,9 +41,16 @@ def _int(x) -> int:
     return x
 
 
+def _obj(d) -> dict:
+    """d itself when it is a JSON object."""
+    if type(d) is not dict:
+        raise InvalidParameterError(f"expected a JSON object, got {type(d).__name__}")
+    return d
+
+
 def multigraph_from_dict(d: dict) -> Multigraph:
     mult_map = {}
-    edges = d.get("edges", [])
+    edges = _obj(d).get("edges", [])
     for u, v, m in edges:
         if type(u) is not int or type(v) is not int or type(m) is not int:
             raise InvalidParameterError(f"edge entries must be integers, got {[u, v, m]}")
@@ -66,7 +74,7 @@ def gdd_to_dict(inst: GddInstance) -> dict:
 
 
 def gdd_from_dict(d: dict) -> GddInstance:
-    blocks = tuple(tuple(b) for b in blocks_to_list(d["blocks"]))
+    blocks = tuple(tuple(b) for b in blocks_to_list(_obj(d)["blocks"]))
     k = len(blocks[0]) if blocks else 3
     return GddInstance(
         groups=tuple(tuple(_int(x) for x in g) for g in d["groups"]),
@@ -88,7 +96,7 @@ def packing_to_dict(bc: BlockCollection) -> dict:
 
 def packing_from_dict(d: dict) -> BlockCollection:
     return BlockCollection(
-        n=_int(d["n"]),
+        n=_int(_obj(d)["n"]),
         k=_int(d["k"]),
         t=_int(d["t"]),
         lam=_int(d["lambda"]),
@@ -119,7 +127,7 @@ def certificate_to_dict(cert: LeaveCertificate) -> dict:
 def certificate_from_dict(d: dict) -> LeaveCertificate:
     params = {
         key: tuple(v) if isinstance(v, list) else v
-        for key, v in d["params"].items()
+        for key, v in _obj(_obj(d)["params"]).items()
     }
     return LeaveCertificate(
         n=_int(d["n"]),
@@ -151,7 +159,7 @@ def dioph_to_dict(inst: DiophInstance) -> dict:
 
 def dioph_from_dict(d: dict) -> DiophInstance:
     return DiophInstance(
-        equalities=tuple((_int(p), _int(a)) for p, a in d.get("equalities", [])),
+        equalities=tuple((_int(p), _int(a)) for p, a in _obj(d).get("equalities", [])),
         avoidances=tuple(
             (_int(q), tuple(_int(b) for b in forb))
             for q, forb in d.get("avoidances", [])
@@ -172,7 +180,7 @@ def dumps(obj: dict) -> str:
 
 def identify(d: dict) -> str:
     """Best-effort artifact type from the key shape."""
-    if "xi" in d:
+    if "xi" in _obj(d):
         return "certificate"
     if "groups" in d:
         return "gdd"

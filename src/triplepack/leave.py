@@ -25,7 +25,8 @@ impossibilities -- a multiplicity above n - 2 -- are refused outright).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .decomp import dehon_conditions
@@ -292,44 +293,43 @@ class _Gadget:
         return self.g * self.u
 
 
-_gadget_cache: dict = {}
-_witness_cache: dict = {}
-
 EXPLICIT_WITNESS_CAP = 12
 
 
+@cache
 def _gadget_candidates(k: int, p: int) -> tuple:
     """All (g, l) with g <= 3k, l <= k^2 whose gadget graph is a valid
     component: g | p + l(k-1), u >= 3 parts, and the simple-GDD existence
     predicate holds at index k - 2.  Sorted by order, cached per (k, p)."""
-    key = (k, p)
-    if key not in _gadget_cache:
-        found = []
-        for g in range(1, 3 * k + 1):
-            for l in range(1, k * k + 1):
-                s = p + l * (k - 1)
-                if s % g != 0:
-                    continue
-                u = s // g + 1
-                if u < 3:
-                    continue
-                if not simple_gdd_exists(g, u, k - 2):
-                    continue
-                found.append(_Gadget(g, l, u))
-        found.sort(key=lambda c: (c.order, c.g, c.l))
-        _gadget_cache[key] = tuple(found)
-    return _gadget_cache[key]
+    found = []
+    for g in range(1, 3 * k + 1):
+        for l in range(1, k * k + 1):
+            s = p + l * (k - 1)
+            if s % g != 0:
+                continue
+            u = s // g + 1
+            if u < 3:
+                continue
+            if not simple_gdd_exists(g, u, k - 2):
+                continue
+            found.append(_Gadget(g, l, u))
+    found.sort(key=lambda c: (c.order, c.g, c.l))
+    return tuple(found)
+
+
+@cache
+def _gadget_witness(g: int, u: int, lam: int) -> tuple:
+    """The blocks of an explicit simple (3, lam)-GDD(g^u), searched once
+    per parameters."""
+    inst = assemble_simple_gdd(g, u, lam, budget=2_000_000)
+    _require(inst is not None, "explicit simple-GDD witness found")
+    return inst.blocks
 
 
 def _gadget_evidence(c: _Gadget, k: int, copies: int) -> EvidenceItem:
     blocks = None
     if c.order <= EXPLICIT_WITNESS_CAP:
-        key = (c.g, c.u, k - 2)
-        if key not in _witness_cache:
-            inst = assemble_simple_gdd(c.g, c.u, k - 2, budget=2_000_000)
-            _require(inst is not None, "explicit simple-GDD witness found")
-            _witness_cache[key] = inst.blocks
-        blocks = _witness_cache[key]
+        blocks = _gadget_witness(c.g, c.u, k - 2)
     return EvidenceItem(
         kind="simple-gdd", params=(c.g, c.u, k - 2), copies=copies, blocks=blocks
     )

@@ -107,10 +107,6 @@ class Multigraph:
                 if m > 0:
                     yield u, v, m
 
-    def to_dense_dict(self) -> dict:
-        """Pair -> multiplicity for all pairs with multiplicity >= 1."""
-        return {(u, v): m for u, v, m in self.support_pairs()}
-
     def active_vertices(self) -> list[int]:
         return [x for x, d in enumerate(self._invariants()[0]) if d > 0]
 

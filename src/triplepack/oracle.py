@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .decomp import SearchStatus, find_triangle_decomposition
-from .errors import InvalidParameterError
-from .multigraph import Multigraph
-from .params import johnson_bound
+from .decomp import SearchStatus, dehon_conditions, find_triangle_decomposition
+from .errors import InvalidParameterError, TriplepackError, WrongCaseError
+from .multigraph import Multigraph, complete
+from .params import CaseLabel, classify, johnson_bound
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ def verify_packing(bc: BlockCollection) -> bool:
 
 class ReportStatus(enum.Enum):
     OPTIMAL = "optimal"
-    LOWER_BOUND_ONLY = "lower-bound-only"
     NONE_EXISTS = "none-exists"
     BUDGET = "budget-exceeded"
     WITNESS_FOUND = "witness-found"
@@ -63,41 +62,33 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-class _Budget:
-    __slots__ = ("limit", "nodes")
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self):
-        self.nodes += 1
-        return self.limit is not None and self.nodes > self.limit
-
-
 def _decide_packing(n, k, t, target, budget):
     """Does a 1-packing with exactly ``target`` blocks exist?
 
     Walks t-subsets in lex order; the current smallest uncovered t-subset
     is either left uncovered (spending leave budget) or covered by a
-    block whose minimal t-subset it is.  Returns (True, blocks),
-    (False, None) for exhausted, or (None, None) on budget.
+    block whose minimal t-subset it is.  Returns (found, blocks, nodes):
+    (True, blocks, nodes), (False, None, nodes) for exhausted, or
+    (None, None, nodes) on the node past ``budget``.
     """
     total = comb(n, t)
     leave_budget = total - target * comb(k, t)
     if leave_budget < 0:
-        return False, None
+        return False, None, 0
     subsets = list(combinations(range(n), t))
     index = {s: i for i, s in enumerate(subsets)}
     covered = [False] * total
     chosen = []
+    nodes = 0
 
     def cover_block(block, flag):
         for sub in combinations(block, t):
             covered[index[sub]] = flag
 
     def recurse(pos, leave, blocks_left):
-        if budget.tick():
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
             return None
         while pos < total and covered[pos]:
             pos += 1
@@ -138,7 +129,7 @@ def _decide_packing(n, k, t, target, budget):
         return False
 
     if target == 0:
-        return True, ()
+        return True, (), 0
     # first block fixed to {0..k-1} up to relabeling
     first = tuple(range(k))
     cover_block(first, True)
@@ -146,38 +137,32 @@ def _decide_packing(n, k, t, target, budget):
     res = recurse(0, leave_budget, target - 1)
     if res is True:
         out = tuple(chosen)
-        assert verify_packing(BlockCollection(n, k, t, 1, out))
-        return True, out
-    cover_block(first, False)
-    return (None, None) if res is None else (False, None)
+        if not verify_packing(BlockCollection(n, k, t, 1, out)):
+            raise TriplepackError("packing witness failed verification")
+        return True, out, nodes
+    return res, None, nodes
 
 
 def max_packing(n: int, k: int, t: int = 3, budget: int | None = None) -> SearchReport:
     """Exact maximum size of a t-(n, k, 1) packing, desk scale.
 
-    Tries targets downward from the Johnson bound.  A witness meeting the
-    bound is certified optimal without exhaustion; otherwise optimality
-    requires exhausting the larger target first.
+    Tries targets downward from the Johnson bound, each with the node
+    budget the larger targets left over.  Every larger target was
+    exhausted first, so the first witness is optimal; target 0 always
+    succeeds.
     """
     if not n >= k >= t >= 1:
         raise InvalidParameterError(f"need n >= k >= t >= 1, got {(n, k, t)}")
-    state = _Budget(budget)
-    ceiling = johnson_bound(n, k, t)
-    exhausted_above = True
-    for target in range(ceiling, -1, -1):
-        found, blocks = _decide_packing(n, k, t, target, state)
+    nodes = 0
+    for target in range(johnson_bound(n, k, t), -1, -1):
+        found, blocks, spent = _decide_packing(
+            n, k, t, target, None if budget is None else budget - nodes
+        )
+        nodes += spent
         if found:
-            status = (
-                ReportStatus.OPTIMAL
-                if (target == ceiling or exhausted_above)
-                else ReportStatus.LOWER_BOUND_ONLY
-            )
-            return SearchReport(status, target, blocks, state.nodes)
+            return SearchReport(ReportStatus.OPTIMAL, target, blocks, nodes)
         if found is None:
-            exhausted_above = False
-            if state.limit is not None and state.nodes > state.limit:
-                return SearchReport(ReportStatus.BUDGET, None, None, state.nodes)
-    return SearchReport(ReportStatus.BUDGET, None, None, state.nodes)
+            return SearchReport(ReportStatus.BUDGET, None, None, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +211,6 @@ def _prefix_swap_smaller(v, mat, upto, i):
     return False
 
 
-def _swap_canonical(v, mat, deltas):
-    """Reject matrices improvable by swapping adjacent equal-degree
-    vertices (keeps the lex-minimal representative of each orbit)."""
-    flat = tuple(tuple(row) for row in mat)
-    for i in range(v - 1):
-        if deltas[i] != deltas[i + 1]:
-            continue
-        perm = list(range(v))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        swapped = tuple(
-            tuple(flat[perm[a]][perm[b]] for b in range(v)) for a in range(v)
-        )
-        if swapped < flat:
-            return False
-    return True
-
-
 def _bricks_of_weight(w, unit, prune=True):
     """Yield connected candidate leave components ("bricks") of weight w.
 
@@ -270,9 +238,10 @@ def _bricks_of_weight(w, unit, prune=True):
 
             def fill(x, y):
                 if x == v:
+                    # with prune, the last row's swap check has already
+                    # compared the whole matrix with each adjacent swap
                     if _connected(v, mat):
-                        if not prune or _swap_canonical(v, mat, deltas):
-                            yield tuple(tuple(r) for r in mat)
+                        yield tuple(tuple(r) for r in mat)
                     return
                 if y == v:
                     if rem[x] != 0:
@@ -317,14 +286,15 @@ def _bricks_of_weight(w, unit, prune=True):
             yield from fill(0, 1)
 
 
-def _decomposable_brick_weights(weights, unit, prune=True, trace=None):
+def _decomposable_brick_weights(weights, unit, prune=True):
     """Which of the given brick weights admit a triangle-decomposable brick.
 
-    Returns dict w -> example brick (multiplicity matrix) or None.
+    Returns (found, tested): found maps each such weight w to an example
+    brick, in the order of ``weights``; tested counts the bricks searched.
     """
-    out = {}
+    found = {}
+    tested = 0
     for w in weights:
-        found = None
         for mat in _bricks_of_weight(w, unit, prune=prune):
             v = len(mat)
             g = Multigraph(
@@ -337,24 +307,30 @@ def _decomposable_brick_weights(weights, unit, prune=True, trace=None):
                     if mat[i][j]
                 },
             )
-            res = find_triangle_decomposition(g)
-            if trace is not None:
-                trace.append((w, v, res.status.value))
-            if res.status is SearchStatus.FOUND:
-                found = g
+            tested += 1
+            if find_triangle_decomposition(g).status is SearchStatus.FOUND:
+                found[w] = g
                 break
-        out[w] = found
-    return out
+    return found, tested
 
 
-def _reaches(weights: dict, total: int) -> bool:
-    """Can coins with a known graph sum (with repetition) to total?"""
-    coins = [w for w, g in weights.items() if g is not None]
-    ok = [False] * (total + 1)
-    ok[0] = True
+def _coin_pieces(coins, total: int):
+    """Coins (with repetition) summing to ``total``, or None when none do.
+
+    Unbounded coin reachability: each sum remembers the first coin, in
+    ``coins`` order, that reaches it from a reachable smaller sum.
+    """
+    last = [0] + [None] * total  # last[s]: a coin reaching s (0: the empty sum)
     for s in range(1, total + 1):
-        ok[s] = any(c <= s and ok[s - c] for c in coins)
-    return ok[total]
+        last[s] = next((c for c in coins if c <= s and last[s - c] is not None), None)
+    if last[total] is None:
+        return None
+    pieces = []
+    s = total
+    while s:
+        pieces.append(last[s])
+        s -= last[s]
+    return pieces
 
 
 def search_leave_nonexistence(
@@ -375,15 +351,12 @@ def search_leave_nonexistence(
     (degree-sum / (k-1)(k-2) per component); G exists iff some multiset
     of decomposable brick weights reaches the total weight.  With
     ``relax`` the multiplicity condition is dropped (a sanity mode that
-    must find a witness); ``prune`` disables symmetry breaking for
-    cross-validation.
+    must find a witness); ``prune=False`` disables symmetry breaking for
+    cross-validation.  ``nodes_explored`` counts the bricks tested.
 
     Currently specialized to parameter shapes like (14, 5): r = 0,
     alpha = 0, deg unit 12, total weight 2|E| / 12.
     """
-    from .errors import WrongCaseError
-    from .params import CaseLabel, classify
-
     label, _ = classify(n, k)
     if label is not CaseLabel.Q_NONZERO:
         raise WrongCaseError(
@@ -397,15 +370,12 @@ def search_leave_nonexistence(
     total_weight = twice_edges // deg_unit
     unit = 1 if relax else k - 2
 
-    trace: list = []
-    weights: dict = {}
+    tested = 0
+    weights: dict = {}  # weight -> a decomposable component of that weight
     if relax:
         # cheap exact coins first: lam*K_m components with degrees a
         # multiple of the degree unit and a Dehon decomposition; if these
         # already reach the total, no brick enumeration is needed
-        from .decomp import dehon_conditions
-        from .multigraph import complete
-
         for m in range(3, n + 1):
             for lam in range(1, m - 1):
                 if lam * (m - 1) % deg_unit:
@@ -413,10 +383,11 @@ def search_leave_nonexistence(
                 w = m * lam * (m - 1) // deg_unit
                 if 3 <= w <= total_weight and w not in weights and dehon_conditions(m, lam):
                     weights[w] = complete(m, lam)
-    if not _reaches(weights, total_weight):
+    pieces = _coin_pieces(weights, total_weight)
+    if pieces is None:
         # every brick weighs at least 3, so a weight w can sit in a multiset
         # summing to the total only if the rest, total - w, is 0 or >= 3
-        enumerated = _decomposable_brick_weights(
+        found, tested = _decomposable_brick_weights(
             [
                 w
                 for w in range(3, min(total_weight, n) + 1)
@@ -424,32 +395,13 @@ def search_leave_nonexistence(
             ],
             unit,
             prune=prune,
-            trace=trace,
         )
-        for w, g in enumerated.items():
-            if weights.get(w) is None:
-                weights[w] = g
-    coins = [w for w, g in weights.items() if g is not None]
-
-    # unbounded coin reachability of the total weight
-    reachable = [False] * (total_weight + 1)
-    reachable[0] = True
-    parent = [None] * (total_weight + 1)
-    for s in range(1, total_weight + 1):
-        for c in coins:
-            if c <= s and reachable[s - c]:
-                reachable[s] = True
-                parent[s] = c
-                break
-    if reachable[total_weight]:
-        pieces = []
-        s = total_weight
-        while s:
-            pieces.append(weights[parent[s]])
-            s -= parent[s]
-        assert sum(p.n for p in pieces) <= n, "witness exceeds the vertex budget"
-        witness = tuple(pieces)
-        return SearchReport(
-            ReportStatus.WITNESS_FOUND, target, witness, len(trace)
-        )
-    return SearchReport(ReportStatus.NONE_EXISTS, target, None, len(trace))
+        for w, g in found.items():
+            weights.setdefault(w, g)
+        pieces = _coin_pieces(weights, total_weight)
+    if pieces is None:
+        return SearchReport(ReportStatus.NONE_EXISTS, target, None, tested)
+    witness = tuple(weights[w] for w in pieces)
+    if sum(g.n for g in witness) > n:
+        raise TriplepackError("leave witness exceeds the vertex budget")
+    return SearchReport(ReportStatus.WITNESS_FOUND, target, witness, tested)

@@ -16,12 +16,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import InvalidParameterError, TriplepackError
+
 
 def _require(cond: bool, msg: str):
-    from .errors import InvalidParameterError
-
     if not cond:
         raise InvalidParameterError(msg)
+
+
+def _exact_div(a: int, b: int) -> int:
+    """a // b where a residue identity makes b divide a; checked, so that a
+    broken identity raises even under ``python -O``."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise TriplepackError(f"residue identity failed: {b} does not divide {a}")
+    return q
 
 
 def johnson_bound(n: int, k: int, t: int) -> int:
@@ -54,31 +63,16 @@ def j_prime(n: int, k: int) -> int:
     return n * inner // k
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    """A formula value together with its range of proven validity."""
-
-    value: int
-    proven_exact: bool
-
-
 def packing_number_t2(n: int, k: int) -> int:
     """Two-branch closed formula for D(n, k, 2).
 
     The formula is proven only for n sufficiently large relative to k; it
-    is evaluated for any n >= k.  Use :func:`packing_number_t2_result` to
-    get the validity flag along with the value.
+    is evaluated for any n >= k.
     """
     _require(n >= k >= 2, f"need n >= k >= 2, got {(n, k)}")
     if (n - 1) % (k - 1) != 0 or n * (n - 1) % (k * (k - 1)) == 0:
         return n * ((n - 1) // (k - 1)) // k
     return n * (n - 1) // (k * (k - 1)) - 1
-
-
-def packing_number_t2_result(n: int, k: int) -> FormulaResult:
-    # No explicit threshold is known below which the formula can fail, so the
-    # value is flagged as asymptotic-only for every n.
-    return FormulaResult(packing_number_t2(n, k), proven_exact=False)
 
 
 def packing_number_k4(n: int) -> int:
@@ -87,10 +81,6 @@ def packing_number_k4(n: int) -> int:
     if n % 6 != 0:
         return johnson_bound(n, 4, 3)
     return n * ((n - 1) * (n - 2) // 6 - 1) // 4
-
-
-def packing_number_k4_result(n: int) -> FormulaResult:
-    return FormulaResult(packing_number_k4(n), proven_exact=True)
 
 
 class CaseLabel(enum.Enum):
@@ -134,34 +124,30 @@ def classify(n: int, k: int) -> tuple[CaseLabel, CaseData]:
     if r != 0:
         alpha = (n - 1) * (n - r - 2) % ((k - 1) * (k - 2))
         beta = (n * (n - 1) * (n - 2 - r) - n * alpha) % (k * (k - 1) * (k - 2))
-        assert alpha % (k - 2) == 0 and (alpha + beta) % (k - 2) == 0
         data = CaseData(
             n=n,
             k=k,
             r=r,
             alpha_r=alpha,
             beta_r=beta,
-            gamma=alpha // (k - 2),
-            gamma0=(alpha + beta) // (k - 2),
+            gamma=_exact_div(alpha, k - 2),
+            gamma0=_exact_div(alpha + beta, k - 2),
         )
         return CaseLabel.R_NONZERO, data
 
     alpha = (n - 1) * (n - 2) % ((k - 1) * (k - 2))
     if alpha != 0:
-        assert alpha % (k - 2) == 0
-        p = alpha // (k - 2)
+        p = _exact_div(alpha, k - 2)
         beta = (n * (n - 1) * (n - 2) - n * (p + k - 1) * (k - 2)) % (
             k * (k - 1) * (k - 2)
         )
-        assert beta % ((k - 1) * (k - 2)) == 0
-        q = beta // ((k - 1) * (k - 2))
+        q = _exact_div(beta, (k - 1) * (k - 2))
         star = not (k % 6 == 4 and p % 6 == 4) and not (k % 6 == 0 and (p - 2) % 6 == 0)
         data = CaseData(n=n, k=k, r=0, p=p, q_excess=q, star_holds=star)
         return CaseLabel.P_NONZERO, data
 
     beta = n * (n - 1) * (n - 2) % (k * (k - 1) * (k - 2))
-    assert beta % ((k - 1) * (k - 2)) == 0
-    q = beta // ((k - 1) * (k - 2))
+    q = _exact_div(beta, (k - 1) * (k - 2))
     data = CaseData(n=n, k=k, r=0, q_beta=q)
     if beta == 0:
         return CaseLabel.DESIGN, data

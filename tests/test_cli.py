@@ -10,6 +10,7 @@ import pytest
 
 from triplepack import jsonio
 from triplepack.cli import BAD_INPUT, BUDGET, FAIL, OK, main
+from triplepack.leave import achieved_lower_bound
 from triplepack.multigraph import complete
 from triplepack.params import johnson_bound, packing_number_k4
 
@@ -261,6 +262,46 @@ class TestBadInput:
         argv = [str(path)] if command == "verify" else ["--input", str(path)]
         code, out, err = run(capsys, command, *argv)
         assert code == BAD_INPUT and err.startswith("error:") and "ok" not in out
+
+
+def _malformed_inputs(tmp_path):
+    cert = jsonio.certificate_to_dict(achieved_lower_bound(9, 5)[1])
+    files = {
+        "params": {**cert, "params": [1, 2]},
+        "graph": {**cert, "graph": [1]},
+        "list": [1, 2],
+    }
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({"TRIPLEPACK_BUDGET": "abc"}, ["brute", "--n", "7", "--k", "3", "--t", "2"]),
+    ({}, ["verify", "params.json"]),
+    ({}, ["verify", "graph.json"]),
+    ({}, ["decompose", "--input", "list.json"]),
+    ({}, ["verify", "."]),
+], ids=["budget-env", "params-list", "graph-list", "decompose-list", "directory"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, env, argv):
+    _malformed_inputs(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplepack.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == BAD_INPUT
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_budget_env_is_read_only_by_commands_with_a_budget(capsys, monkeypatch):
+    monkeypatch.setenv("TRIPLEPACK_BUDGET", "abc")
+    assert run(capsys, "classify", "--k", "5", "--n", "8..9")[0] == OK
+    monkeypatch.setenv("TRIPLEPACK_BUDGET", "")
+    code, out, _ = run(capsys, "brute", "--n", "7", "--k", "3", "--t", "2")
+    assert code == OK and json.loads(out)["status"] == "optimal"
+    monkeypatch.setenv("TRIPLEPACK_BUDGET", "5")
+    assert run(capsys, "brute", "--n", "9", "--k", "4")[0] == BUDGET
 
 
 def test_cli_imports_without_sympy():

@@ -305,6 +305,22 @@ class TestKernelMatchesReference:
         assert capped.cliques is None
 
 
+@pytest.mark.parametrize("parts", [
+    [[0, 1], [2, 3], [4, 5]],
+    [[0], [1], [2], [3], [4]],
+    [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
+    [[0, 5, 9], [2, 3], [7, 1, 8], [4], [6]],  # not contiguous, unequal
+    [[3, 1], [2, 0]],  # two parts: no transverse triple
+])
+def test_transverse_triples_match_a_brute_force_filter(parts):
+    part_of = {x: i for i, part in enumerate(parts) for x in part}
+    want = [
+        t for t in combinations(range(len(part_of)), 3)
+        if len({part_of[x] for x in t}) == 3
+    ]
+    assert decomp.transverse_triples(parts) == want
+
+
 def test_postconditions_survive_optimize_flag():
     # with verification failing on the input graph, every FOUND path must
     # refuse its answer: the main search, the multipartite mirror (3K5),

@@ -32,6 +32,23 @@ class TestPredicates:
         assert simple_ts_exists(9, 1)
         assert not simple_ts_exists(7, 6)  # lam > u - 2
 
+    def test_simple_ts_equals_the_closed_formula(self):
+        # the formula simple_ts_exists carried before it became Dehon's
+        # conditions on lam*K_u, kept here as the reference
+        def reference(u, lam):
+            return (
+                1 <= lam <= u - 2
+                and lam * (u - 1) % 2 == 0
+                and lam * u * (u - 1) % 6 == 0
+            )
+
+        for u in range(1, 13):
+            for lam in range(-1, 12):
+                assert simple_ts_exists(u, lam) == reference(u, lam), (u, lam)
+        for u in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                simple_ts_exists(u, 1)
+
     def test_lgdd_exception(self):
         assert not lgdd_exists(1, 7, 1)  # the lone exception
         assert lgdd_exists(1, 9, 1)

@@ -1,7 +1,13 @@
 """Exact packing oracle and the leave-nonexistence search."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from triplepack import oracle
 from triplepack.errors import InvalidParameterError, WrongCaseError
 from triplepack.multigraph import Multigraph
 from triplepack.oracle import (
@@ -58,6 +64,52 @@ class TestMaxPacking:
     def test_rejects_bad_order(self):
         with pytest.raises(InvalidParameterError):
             max_packing(3, 4, 3)
+
+    # (status, value, nodes_explored); a budget is shared by the targets in
+    # turn, and BUDGET is reported on the node past it
+    @pytest.mark.parametrize("args, budget, status, value, nodes", [
+        ((9, 4), None, "optimal", 18, 10_924),
+        ((9, 5), None, "optimal", 3, 6_057),
+        ((10, 5), None, "optimal", 6, 284_304),
+        ((10, 4), None, "optimal", 30, 48),
+        ((9, 5), 1000, "budget-exceeded", None, 1_001),
+        ((13, 4), 5000, "budget-exceeded", None, 5_001),
+    ])
+    def test_frozen_reports(self, args, budget, status, value, nodes):
+        rep = max_packing(*args, budget=budget)
+        assert (rep.status.value, rep.value, rep.nodes_explored) == (status, value, nodes)
+
+    def test_witness_check_survives_optimize_flag(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import triplepack.oracle as oracle\n"
+            "from triplepack.errors import TriplepackError\n"
+            "assert 0, 'assert statements are stripped'\n"
+            "oracle.verify_packing = lambda bc: False\n"
+            "try:\n"
+            "    oracle.max_packing(7, 3, 2)\n"
+            "    print('accepted')\n"
+            "except TriplepackError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["raised"]
+
+
+class TestBricks:
+    def test_pruned_counts_at_unit_1(self):
+        # symmetry breaking keeps 240 of the 26,320 weight-6 matrices
+        assert sum(1 for _ in oracle._bricks_of_weight(6, 1)) == 240
+        assert sum(1 for _ in oracle._bricks_of_weight(5, 1)) == 1
+
+    def test_pruned_counts_at_unit_3(self):
+        counts = {w: sum(1 for _ in oracle._bricks_of_weight(w, 3)) for w in range(3, 10)}
+        assert counts == {3: 0, 4: 0, 5: 1, 6: 0, 7: 0, 8: 0, 9: 0}
 
 
 class TestLeaveNonexistence:
