@@ -216,6 +216,12 @@ def _build_parser():
     # one as a usage error; an unset or empty variable means no budget
     budget = os.environ.get("TRIPLEPACK_BUDGET") or None
 
+    def non_negative_int(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+        return value
+
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
@@ -237,14 +243,14 @@ def _build_parser():
 
     p = add("decompose", _cmd_decompose, help="triangle-decompose a multigraph")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--budget", type=non_negative_int, default=budget)
 
     p = add("gdd", _cmd_gdd, help="GDD existence predicates / witness search")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--lam", type=int, required=True)
     p.add_argument("--search", action="store_true")
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--budget", type=non_negative_int, default=budget)
 
     p = add("dioph", _cmd_dioph, help="solve a congruence/avoidance instance")
     p.add_argument("--input", required=True)
@@ -253,7 +259,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=3)
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--budget", type=non_negative_int, default=budget)
 
     p = add("verify", _cmd_verify, help="re-check a JSON artifact")
     p.add_argument("input")

@@ -20,6 +20,13 @@ counted with ``int.bit_count``.  Triangles already chosen need no entry:
 choosing the triangles through a pair sets that pair to 0 for the whole
 subtree, so no triangle through it can be a candidate again.  A branch is
 applied and undone in place.
+
+The greedy clique reduction keeps the same kind of state over all n
+vertices: a flat n*n list ``rem`` of remaining multiplicities, ``adj[x]``
+with bit y set while pair (x, y) still has multiplicity >= 1, and a list
+of per-vertex appearance counts.  The candidates for the next clique
+vertex are the AND of ``adj`` over the members chosen so far; each removed
+clique is applied in place.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvalidParameterError, TriplepackError
-from .multigraph import Multigraph, _pair
+from .multigraph import Multigraph
 
 Triple = tuple[int, int, int]
 
@@ -265,8 +272,11 @@ def find_triangle_decomposition(
     arguments); BUDGET is inconclusive.  For uniform complete multipartite
     inputs with multiplicity above half the per-pair triple capacity, the
     search runs on the complementary multiplicity and complements the
-    answer inside the set of transverse triples.
+    answer inside the set of transverse triples.  A negative ``budget`` is
+    refused; ``budget=0`` allows no node.
     """
+    if budget is not None and budget < 0:
+        raise InvalidParameterError(f"budget must be >= 0, got {budget}")
     if g.edge_count() == 0:
         return DecompositionResult(SearchStatus.FOUND, (), 0)
     if _quick_infeasible(g):
@@ -352,6 +362,14 @@ def clique_reduction(
     (adjacent to everything picked so far, not repeating a chosen clique)
     with minimal appearance count, ties to the smallest label.  When no
     valid vertex exists the pair is abandoned and a stall is recorded.
+
+    The state is a bitset kernel: ``rem``, a flat n*n list of remaining
+    multiplicities; ``adj[x]``, an integer whose bit y is set while pair
+    (x, y) still has multiplicity >= 1; and a list of appearance counts.
+    The valid vertices are the set bits of the AND of ``adj`` over the
+    members, walked in label order keeping the first strict minimum of
+    the appearance count; a candidate for the last slot is checked
+    against the chosen cliques only when it would win.
     """
     if q < 3:
         raise InvalidParameterError("need q >= 3")
@@ -363,60 +381,74 @@ def clique_reduction(
     if sorted(order) != list(range(g.n)):
         raise InvalidParameterError("vertex_order must be a permutation of 0..n-1")
 
-    rem = {}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            m = g.mult(u, v)
-            if m > 0:
-                rem[(u, v)] = m
+    n = g.n
+    bits = [1 << i for i in range(n)]
+    rem = [0] * (n * n)  # remaining multiplicity, both orientations
+    adj = [0] * n  # adj[x]: the y with rem[x*n+y] >= 1
+    support = []  # (u, v) with u < v, in label order
+    for u, v, m in g.support_pairs():
+        support.append((u, v))
+        rem[u * n + v] = rem[v * n + u] = m
+        adj[u] |= bits[v]
+        adj[v] |= bits[u]
     gamma = {
-        x: tuple(
-            y for y in range(g.n) if y != x and g.mult(x, y) > lam
-        )
-        for x in range(g.n)
+        x: tuple(y for y, m in enumerate(rem[x * n : x * n + n]) if m > lam and y != x)
+        for x in range(n)
     }
-    appearance = {x: 0 for x in range(g.n)}
+    appearance = [0] * n
     chosen = []
     chosen_set = set()
     stalls = []
 
-    def edge(a, b):
-        return rem.get(_pair(a, b), 0)
-
     for xi in order:
         for x in gamma[xi]:
-            while edge(xi, x) >= 1:
+            while rem[xi * n + x]:
                 members = [xi, x]
-                ok = True
+                # a vertex is never its own neighbour, so the AND over the
+                # members already leaves out the members themselves
+                cand = adj[xi] & adj[x]
                 for j in range(1, q - 1):
                     last = j == q - 2
-                    best = None
-                    for y in range(g.n):
-                        if y in members:
-                            continue
-                        if any(edge(y, m) < 1 for m in members):
-                            continue
-                        if last and tuple(sorted(members + [y])) in chosen_set:
-                            continue
-                        key = (appearance[y], y)
-                        if best is None or key < best[0]:
-                            best = (key, y)
-                    if best is None:
-                        ok = False
+                    # the first strict minimum of appearance in label
+                    # order; nothing beats an appearance of 0
+                    best, best_app = -1, None
+                    c = cand
+                    while c:
+                        low = c & -c
+                        c ^= low
+                        y = low.bit_length() - 1
+                        a = appearance[y]
+                        if best_app is None or a < best_app:
+                            if last and tuple(sorted(members + [y])) in chosen_set:
+                                continue
+                            best, best_app = y, a
+                            if not a:
+                                break
+                    if best < 0:
                         break
-                    members.append(best[1])
-                if not ok:
+                    members.append(best)
+                    cand &= adj[best]
+                if len(members) < q:
                     stalls.append(StallEvent(xi, x, tuple(members)))
                     break
                 clique = tuple(sorted(members))
                 chosen.append(clique)
                 chosen_set.add(clique)
+                # every pair of the clique has multiplicity >= 1; a pair
+                # that drops to 0 leaves adj
                 for a, b in combinations(clique, 2):
-                    rem[a, b] -= 1
+                    r = rem[a * n + b] = rem[b * n + a] = rem[a * n + b] - 1
+                    if not r:
+                        adj[a] ^= bits[b]
+                        adj[b] ^= bits[a]
                 for v in clique:
                     appearance[v] += 1
 
-    residual = Multigraph(g.n, base=0, mult_map={p: m for p, m in rem.items() if m})
+    residual = Multigraph(
+        n,
+        base=0,
+        mult_map={(u, v): rem[u * n + v] for u, v in support if rem[u * n + v]},
+    )
     return ReductionTrace(
         q=q,
         lam=lam,
@@ -425,7 +457,7 @@ def clique_reduction(
         gamma=gamma,
         cliques=tuple(chosen),
         residual=residual,
-        appearance=appearance,
+        appearance=dict(enumerate(appearance)),
         stalls=tuple(stalls),
     )
 

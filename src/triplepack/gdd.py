@@ -171,7 +171,8 @@ def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
 
     Returns (status, instance-or-None, nodes).  NONE is exhaustive: no
     such design exists.  The search space is the distinct triangle
-    decompositions of the gadget multigraph.
+    decompositions of the gadget multigraph.  A negative ``budget`` is
+    refused (by the search).
     """
     if g * u > SEARCH_CAP:
         raise InvalidParameterError(f"search capped at gu <= {SEARCH_CAP}")

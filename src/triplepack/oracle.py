@@ -149,10 +149,12 @@ def max_packing(n: int, k: int, t: int = 3, budget: int | None = None) -> Search
     Tries targets downward from the Johnson bound, each with the node
     budget the larger targets left over.  Every larger target was
     exhausted first, so the first witness is optimal; target 0 always
-    succeeds.
+    succeeds.  A negative ``budget`` is refused.
     """
     if not n >= k >= t >= 1:
         raise InvalidParameterError(f"need n >= k >= t >= 1, got {(n, k, t)}")
+    if budget is not None and budget < 0:
+        raise InvalidParameterError(f"budget must be >= 0, got {budget}")
     nodes = 0
     for target in range(johnson_bound(n, k, t), -1, -1):
         found, blocks, spent = _decide_packing(
@@ -211,22 +213,23 @@ def _prefix_swap_smaller(v, mat, upto, i):
     return False
 
 
-def _bricks_of_weight(w, unit, prune=True):
+def _bricks_of_weight(w, deg_unit, unit, prune=True):
     """Yield connected candidate leave components ("bricks") of weight w.
 
-    A brick has v vertices of degrees 12 * delta_x (so weight w = sum of
-    deltas), pair multiplicities that are positive multiples of ``unit``
-    and at most v - 2, realized as a symmetric matrix enumerated row by
-    row.  Candidates violating the common-neighbor necessity (a pair of
-    multiplicity m needs m distinct common neighbors for its triangles)
-    are pruned during the fill; they can never decompose.
+    A brick has v vertices of degrees ``deg_unit`` * delta_x (so weight
+    w = sum of deltas; ``deg_unit`` is (k-1)(k-2)), pair multiplicities
+    that are positive multiples of ``unit`` and at most v - 2, realized as
+    a symmetric matrix enumerated row by row.  Candidates violating the
+    common-neighbor necessity (a pair of multiplicity m needs m distinct
+    common neighbors for its triangles) are pruned during the fill; they
+    can never decompose.
     """
     for v in range(3, w + 1):
         for deltas in _partitions_fixed_length(w, v, w):
             # row sums in units
-            if any(12 * d % unit for d in deltas):
+            if any(deg_unit * d % unit for d in deltas):
                 continue
-            rows = [12 * d // unit for d in deltas]
+            rows = [deg_unit * d // unit for d in deltas]
             cap = (v - 2) // unit
             if cap < 1 or any(r > cap * (v - 1) for r in rows):
                 continue
@@ -286,7 +289,7 @@ def _bricks_of_weight(w, unit, prune=True):
             yield from fill(0, 1)
 
 
-def _decomposable_brick_weights(weights, unit, prune=True):
+def _decomposable_brick_weights(weights, deg_unit, unit, prune=True):
     """Which of the given brick weights admit a triangle-decomposable brick.
 
     Returns (found, tested): found maps each such weight w to an example
@@ -295,7 +298,7 @@ def _decomposable_brick_weights(weights, unit, prune=True):
     found = {}
     tested = 0
     for w in weights:
-        for mat in _bricks_of_weight(w, unit, prune=prune):
+        for mat in _bricks_of_weight(w, deg_unit, unit, prune=prune):
             v = len(mat)
             g = Multigraph(
                 v,
@@ -354,8 +357,10 @@ def search_leave_nonexistence(
     must find a witness); ``prune=False`` disables symmetry breaking for
     cross-validation.  ``nodes_explored`` counts the bricks tested.
 
-    Currently specialized to parameter shapes like (14, 5): r = 0,
-    alpha = 0, deg unit 12, total weight 2|E| / 12.
+    Specialized to r = 0, alpha = 0 (Q_NONZERO), degree unit (k-1)(k-2),
+    total weight 2|E| / (k-1)(k-2).  A brick of weight w can have up to w
+    vertices, so the enumeration is exhaustive only up to n: a total
+    weight above n is refused rather than searched in part.
     """
     label, _ = classify(n, k)
     if label is not CaseLabel.Q_NONZERO:
@@ -368,6 +373,11 @@ def search_leave_nonexistence(
     if twice_edges < 0 or twice_edges % deg_unit != 0:
         return SearchReport(ReportStatus.NONE_EXISTS, target, None, 0)
     total_weight = twice_edges // deg_unit
+    if total_weight > n:
+        raise InvalidParameterError(
+            f"total leave weight {total_weight} exceeds n = {n}: bricks heavier "
+            "than n are not enumerated"
+        )
     unit = 1 if relax else k - 2
 
     tested = 0
@@ -390,9 +400,10 @@ def search_leave_nonexistence(
         found, tested = _decomposable_brick_weights(
             [
                 w
-                for w in range(3, min(total_weight, n) + 1)
+                for w in range(3, total_weight + 1)
                 if total_weight - w == 0 or total_weight - w >= 3
             ],
+            deg_unit,
             unit,
             prune=prune,
         )

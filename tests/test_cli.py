@@ -294,6 +294,25 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, env, argv):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("env, argv", [
+    ({}, ["brute", "--n", "9", "--k", "4", "--budget", "-5"]),
+    ({}, ["gdd", "--g", "2", "--u", "3", "--lam", "2", "--search", "--budget", "-1"]),
+    ({}, ["decompose", "--input", "g.json", "--budget", "-1"]),
+    ({"TRIPLEPACK_BUDGET": "-1"}, ["brute", "--n", "9", "--k", "4"]),
+], ids=["brute", "gdd", "decompose", "env"])
+def test_negative_budget_is_a_usage_error(tmp_path, env, argv):
+    (tmp_path / "g.json").write_text(json.dumps(jsonio.multigraph_to_dict(complete(7, 1))))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplepack.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == BAD_INPUT and proc.stdout == ""
+    assert "usage:" in proc.stderr and "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_budget_env_is_read_only_by_commands_with_a_budget(capsys, monkeypatch):
     monkeypatch.setenv("TRIPLEPACK_BUDGET", "abc")
     assert run(capsys, "classify", "--k", "5", "--n", "8..9")[0] == OK

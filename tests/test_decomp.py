@@ -1,6 +1,7 @@
 """Triangle decomposition engine, Dehon predicate, clique reduction."""
 
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -12,7 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from triplepack import decomp
 from triplepack.decomp import (
+    ReductionTrace,
     SearchStatus,
+    StallEvent,
     clique_reduction,
     decompose_via_reduction,
     dehon_conditions,
@@ -59,6 +62,14 @@ class TestEngine:
     def test_empty_graph(self):
         res = find_triangle_decomposition(Multigraph(5))
         assert res.status is SearchStatus.FOUND and res.cliques == ()
+
+    def test_negative_budget_refused(self):
+        # refused before any shortcut: empty, parity, search
+        for g in (Multigraph(5), complete(4, 1), complete(7, 1)):
+            with pytest.raises(InvalidParameterError):
+                find_triangle_decomposition(g, budget=-1)
+        res = find_triangle_decomposition(complete(7, 1), budget=0)
+        assert res.status is SearchStatus.BUDGET and res.nodes == 1
 
     def test_parity_shortcut(self):
         # odd degrees: exhaustive NONE with zero nodes
@@ -303,6 +314,136 @@ class TestKernelMatchesReference:
         capped = find_triangle_decomposition(complete(9, 3), budget=1000)
         assert capped.status is SearchStatus.BUDGET and capped.nodes == 1001
         assert capped.cliques is None
+
+
+# ---------------------------------------------------------------------------
+# the bitset clique reduction gives the trace of a plain dict-based one
+# ---------------------------------------------------------------------------
+
+
+def _reference_reduction(g, q, lam, lam_prime, vertex_order=None):
+    """Dict-based greedy clique reduction, kept here only as the reference
+    the bitset kernel must match field by field.  Same contract as
+    ``decomp.clique_reduction`` on inputs that pass its checks."""
+    order = tuple(vertex_order) if vertex_order is not None else tuple(range(g.n))
+    rem = {}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            m = g.mult(u, v)
+            if m > 0:
+                rem[(u, v)] = m
+    gamma = {
+        x: tuple(y for y in range(g.n) if y != x and g.mult(x, y) > lam)
+        for x in range(g.n)
+    }
+    appearance = {x: 0 for x in range(g.n)}
+    chosen = []
+    chosen_set = set()
+    stalls = []
+
+    def edge(a, b):
+        return rem.get((a, b) if a < b else (b, a), 0)
+
+    for xi in order:
+        for x in gamma[xi]:
+            while edge(xi, x) >= 1:
+                members = [xi, x]
+                ok = True
+                for j in range(1, q - 1):
+                    last = j == q - 2
+                    best = None
+                    for y in range(g.n):
+                        if y in members:
+                            continue
+                        if any(edge(y, m) < 1 for m in members):
+                            continue
+                        if last and tuple(sorted(members + [y])) in chosen_set:
+                            continue
+                        key = (appearance[y], y)
+                        if best is None or key < best[0]:
+                            best = (key, y)
+                    if best is None:
+                        ok = False
+                        break
+                    members.append(best[1])
+                if not ok:
+                    stalls.append(StallEvent(xi, x, tuple(members)))
+                    break
+                clique = tuple(sorted(members))
+                chosen.append(clique)
+                chosen_set.add(clique)
+                for a, b in combinations(clique, 2):
+                    rem[a, b] -= 1
+                for v in clique:
+                    appearance[v] += 1
+
+    residual = Multigraph(g.n, base=0, mult_map={p: m for p, m in rem.items() if m})
+    return ReductionTrace(
+        q=q,
+        lam=lam,
+        lam_prime=lam_prime,
+        order=order,
+        gamma=gamma,
+        cliques=tuple(chosen),
+        residual=residual,
+        appearance=appearance,
+        stalls=tuple(stalls),
+    )
+
+
+def _criterion_9_graph(rng, n):
+    """Criterion 9's generator: each pair present with probability 1/4 at
+    multiplicity 1..3."""
+    return Multigraph(n, mult_map={
+        (u, v): rng.randint(1, 3)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.25
+    })
+
+
+class TestReductionKernelMatchesReference:
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_criterion_9_graphs(self, seed):
+        # two graphs of each order 5..40, as the benchmark's desk builds
+        # them; stalls are among the traces compared
+        rng = random.Random(seed)
+        stalls = 0
+        for n in range(5, 41):
+            for _ in range(2):
+                g = _criterion_9_graph(rng, n)
+                trace = clique_reduction(g, 3, 1, 3)
+                assert trace == _reference_reduction(g, 3, 1, 3), n
+                stalls += len(trace.stalls)
+        assert stalls
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_multigraphs(self, data):
+        n = data.draw(st.integers(0, 10))
+        base = data.draw(st.sampled_from((0, 1)))
+        q = data.draw(st.integers(3, 5))
+        mults = data.draw(st.lists(
+            st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+        ))
+        lam_prime = max([base, *mults]) + data.draw(st.integers(0, 1))
+        lam = data.draw(st.integers(0, lam_prime))
+        order = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+        g = Multigraph(n, base=base, mult_map=dict(zip(combinations(range(n), 2), mults)))
+        got = clique_reduction(g, q, lam, lam_prime, vertex_order=order)
+        assert got == _reference_reduction(g, q, lam, lam_prime, vertex_order=order)
+
+    def test_2k7_trace_pinned(self):
+        trace = clique_reduction(complete(7, 2), 3, 1, 2)
+        assert trace.cliques == (
+            (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 6), (0, 5, 6),
+            (1, 2, 3), (1, 4, 5), (1, 4, 6), (1, 5, 6), (2, 3, 4), (3, 4, 5),
+        )
+        assert trace.stalls == tuple(
+            StallEvent(x, y, (x, y)) for x, y in ((2, 5), (2, 6), (3, 6), (5, 2), (6, 2), (6, 3))
+        )
+        assert trace.appearance == {0: 6, 1: 6, 2: 4, 3: 5, 4: 6, 5: 5, 6: 4}
+        assert trace.residual.mult_map == {(2, 5): 2, (2, 6): 2, (3, 6): 2}
 
 
 @pytest.mark.parametrize("parts", [

@@ -102,6 +102,13 @@ class TestSearch:
                             gadget_multigraph(g, u, lam), inst.blocks
                         )
 
+    def test_negative_budget_refused(self):
+        with pytest.raises(InvalidParameterError):
+            search_simple_gdd(2, 3, 2, budget=-1)
+        # budget 0 is valid; this gadget's mirror search needs no node
+        status, inst, nodes = search_simple_gdd(2, 3, 2, budget=0)
+        assert status is SearchStatus.FOUND and nodes == 0
+
     def test_search_cap(self):
         with pytest.raises(InvalidParameterError):
             search_simple_gdd(4, 4, 1)

@@ -65,6 +65,13 @@ class TestMaxPacking:
         with pytest.raises(InvalidParameterError):
             max_packing(3, 4, 3)
 
+    def test_negative_budget_refused(self):
+        with pytest.raises(InvalidParameterError):
+            max_packing(9, 4, budget=-1)
+        # budget 0 is valid: BUDGET on the first node
+        rep = max_packing(9, 4, budget=0)
+        assert (rep.status, rep.nodes_explored) == (ReportStatus.BUDGET, 1)
+
     # (status, value, nodes_explored); a budget is shared by the targets in
     # turn, and BUDGET is reported on the node past it
     @pytest.mark.parametrize("args, budget, status, value, nodes", [
@@ -104,18 +111,39 @@ class TestMaxPacking:
 class TestBricks:
     def test_pruned_counts_at_unit_1(self):
         # symmetry breaking keeps 240 of the 26,320 weight-6 matrices
-        assert sum(1 for _ in oracle._bricks_of_weight(6, 1)) == 240
-        assert sum(1 for _ in oracle._bricks_of_weight(5, 1)) == 1
+        assert sum(1 for _ in oracle._bricks_of_weight(6, 12, 1)) == 240
+        assert sum(1 for _ in oracle._bricks_of_weight(5, 12, 1)) == 1
 
     def test_pruned_counts_at_unit_3(self):
-        counts = {w: sum(1 for _ in oracle._bricks_of_weight(w, 3)) for w in range(3, 10)}
+        counts = {w: sum(1 for _ in oracle._bricks_of_weight(w, 12, 3)) for w in range(3, 10)}
         assert counts == {3: 0, 4: 0, 5: 1, 6: 0, 7: 0, 8: 0, 9: 0}
+
+    def test_degree_unit_comes_from_the_caller(self):
+        # k = 6: every degree is a multiple of (k-1)(k-2) = 20, multiplicities
+        # of k - 2 = 4 (or of 1, relaxed); weight 6 is 4K6 at either unit
+        bricks = {
+            (w, unit): list(oracle._bricks_of_weight(w, 20, unit))
+            for w, unit in ((6, 1), (6, 4), (7, 4), (8, 4), (9, 4))
+        }
+        for (w, unit), mats in bricks.items():
+            for mat in mats:
+                assert all(sum(row) * unit % 20 == 0 for row in mat), (w, unit, mat)
+        k6 = tuple(tuple(0 if i == j else 4 for j in range(6)) for i in range(6))
+        assert bricks[6, 1] == [k6]
+        assert bricks[6, 4] == [tuple(tuple(m // 4 for m in row) for row in k6)]
 
 
 class TestLeaveNonexistence:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError):
             search_leave_nonexistence(9, 5)
+
+    @pytest.mark.parametrize("xi, relax", [(30, True), (30, False), (25, True), (20, True)])
+    def test_total_weight_above_n_refused(self, xi, relax):
+        # xi = 30 leaves weight 32 on 14 vertices: bricks heavier than 14
+        # are never enumerated, so the search refuses instead of answering
+        with pytest.raises(InvalidParameterError):
+            search_leave_nonexistence(14, 5, xi_target=xi, relax=relax)
 
     def test_unreachable_weight_is_immediate(self):
         # xi = J leaves total weight 2, below any brick: none-exists
