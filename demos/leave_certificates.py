@@ -11,7 +11,7 @@ conditions, and round-trips one through JSON.
 
 from triplepack import jsonio
 from triplepack.errors import NTooSmallError
-from triplepack.leave import achieved_lower_bound, construct_q_leave
+from triplepack.leave import achieved_lower_bound, construct_q_leave, verify_certificate
 from triplepack.params import johnson_bound, upper_bound
 
 # ---------------------------------------------------------------------
@@ -49,14 +49,15 @@ for n, k in ((14, 5), (13, 5)):
 
 # ---------------------------------------------------------------------
 # Certificates serialize to JSON so a third party can re-verify them
-# without trusting the constructor.  (The `triplepack verify` CLI
-# subcommand does exactly this check on a file.)
+# without trusting the constructor: `verify_certificate` is the check
+# every constructor runs, and the `triplepack verify` CLI subcommand runs
+# it on a file.
 # ---------------------------------------------------------------------
 payload = jsonio.certificate_to_dict(cert)
 restored = jsonio.certificate_from_dict(payload)
 same = (restored.xi == cert.xi
         and restored.graph.mult_map == cert.graph.mult_map
-        and restored.conditions().all_pass())
+        and verify_certificate(restored))
 print(f"\nJSON round-trip intact and re-verified: {same}")
 
 # ---------------------------------------------------------------------

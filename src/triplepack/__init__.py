@@ -28,6 +28,7 @@ from .leave import (
     construct_p_leave,
     construct_q_leave,
     construct_r_leave,
+    verify_certificate,
 )
 from .multigraph import (
     Multigraph,
@@ -68,7 +69,7 @@ __all__ = [
     "lgdd_exists", "search_simple_gdd", "simple_gdd_exists",
     "simple_ts_exists", "verify_gdd",
     "LeaveCertificate", "achieved_lower_bound", "construct_p_leave",
-    "construct_q_leave", "construct_r_leave",
+    "construct_q_leave", "construct_r_leave", "verify_certificate",
     "Multigraph", "check_leave_conditions", "complete", "disjoint_union",
     "erdos_gallai_feasible", "overlay", "realize_degree_sequence", "scale",
     "BlockCollection", "ReportStatus", "SearchReport", "max_packing",

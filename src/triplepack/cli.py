@@ -14,29 +14,31 @@ import os
 import sys
 
 from . import jsonio
-from .decomp import SearchStatus, find_triangle_decomposition, verify_decomposition
+from .decomp import SearchStatus, find_triangle_decomposition
 from .dioph import solve_avoidance
 from .errors import TriplepackError
 from .gdd import (
-    gadget_multigraph,
     lgdd_exists,
     search_simple_gdd,
     simple_gdd_exists,
     simple_ts_exists,
     verify_gdd,
 )
-from .leave import achieved_lower_bound
+from .leave import achieved_lower_bound, verify_certificate
 from .oracle import BlockCollection, ReportStatus, max_packing, verify_packing
 from .params import classify, j_prime, johnson_bound, upper_bound
 
 OK, FAIL, BAD_INPUT, BUDGET = 0, 1, 2, 3
 
 
-def _parse_range(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(spec), int(spec) + 1)
+def _n_range(spec: str, k: int):
+    """The n > k of a single value or a range a..b."""
+    lo, dots, hi = spec.partition("..")
+    return range(max(int(lo), k + 1), int(hi if dots else lo) + 1)
+
+
+def _exit_code(status: SearchStatus) -> int:
+    return {SearchStatus.FOUND: OK, SearchStatus.BUDGET: BUDGET}.get(status, FAIL)
 
 
 def _load(path):
@@ -55,9 +57,7 @@ def _emit(payload: dict, out: str | None):
 
 def _cmd_bounds(args) -> int:
     rows = []
-    for n in _parse_range(args.n):
-        if n <= args.k:
-            continue
+    for n in _n_range(args.n, args.k):
         label, _ = classify(n, args.k)
         jp = j_prime(n, args.k)
         try:
@@ -90,9 +90,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_classify(args) -> int:
     print(f"{'n':>6} {'k':>4} {'case':<10} residues")
-    for n in _parse_range(args.n):
-        if n <= args.k:
-            continue
+    for n in _n_range(args.n, args.k):
         label, data = classify(n, args.k)
         extra = {
             key: getattr(data, key)
@@ -116,17 +114,13 @@ def _cmd_construct(args) -> int:
 def _cmd_decompose(args) -> int:
     g = jsonio.multigraph_from_dict(_load(args.input))
     res = find_triangle_decomposition(g, budget=args.budget)
+    payload = {"status": res.status.value}
     if res.status is SearchStatus.FOUND:
-        _emit(
-            {"status": "found", "triangles": jsonio.blocks_to_list(res.cliques)},
-            args.out,
-        )
-        return OK
-    if res.status is SearchStatus.BUDGET:
-        _emit({"status": "budget-exceeded", "nodes": res.nodes}, args.out)
-        return BUDGET
-    _emit({"status": "none-found", "nodes": res.nodes}, args.out)
-    return FAIL
+        payload["triangles"] = jsonio.blocks_to_list(res.cliques)
+    else:
+        payload["nodes"] = res.nodes
+    _emit(payload, args.out)
+    return _exit_code(res.status)
 
 
 def _cmd_gdd(args) -> int:
@@ -139,17 +133,15 @@ def _cmd_gdd(args) -> int:
     }
     if args.g == 1:
         row["simple_ts_exists"] = simple_ts_exists(args.u, args.lam)
+    code = OK
     if args.search:
         status, inst, nodes = search_simple_gdd(args.g, args.u, args.lam, args.budget)
         row["search"] = status.value
         if inst is not None:
             row["witness"] = jsonio.gdd_to_dict(inst)
-        _emit(row, args.out)
-        if status is SearchStatus.BUDGET:
-            return BUDGET
-        return OK if status is SearchStatus.FOUND else FAIL
+        code = _exit_code(status)
     _emit(row, args.out)
-    return OK
+    return code
 
 
 def _cmd_dioph(args) -> int:
@@ -180,14 +172,7 @@ def _cmd_verify(args) -> int:
     kind = jsonio.identify(data)
     ok = False
     if kind == "certificate":
-        cert = jsonio.certificate_from_dict(data)
-        ok = cert.conditions().all_pass() and cert.xi <= upper_bound(cert.n, cert.k)
-        for item in cert.evidence:
-            if item.kind == "simple-gdd" and item.blocks:
-                g, u, lam = item.params
-                ok = ok and verify_decomposition(
-                    gadget_multigraph(g, u, lam), item.blocks
-                )
+        ok = verify_certificate(jsonio.certificate_from_dict(data))
     elif kind == "gdd":
         ok = verify_gdd(jsonio.gdd_from_dict(data), require_simple=True)
     elif kind == "packing":

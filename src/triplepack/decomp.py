@@ -262,6 +262,12 @@ def transverse_triples(parts) -> list:
     ]
 
 
+def check_budget(budget: int | None) -> None:
+    """Refuse a negative search budget; None means no budget."""
+    if budget is not None and budget < 0:
+        raise InvalidParameterError(f"budget must be >= 0, got {budget}")
+
+
 def find_triangle_decomposition(
     g: Multigraph, budget: int | None = None, forbidden=()
 ) -> DecompositionResult:
@@ -275,8 +281,7 @@ def find_triangle_decomposition(
     answer inside the set of transverse triples.  A negative ``budget`` is
     refused; ``budget=0`` allows no node.
     """
-    if budget is not None and budget < 0:
-        raise InvalidParameterError(f"budget must be >= 0, got {budget}")
+    check_budget(budget)
     if g.edge_count() == 0:
         return DecompositionResult(SearchStatus.FOUND, (), 0)
     if _quick_infeasible(g):
@@ -471,10 +476,12 @@ def decompose_via_reduction(
     Only q = 3 is supported for the residual search.  NONE is returned
     only when no cliques were removed and the residual search exhausted;
     after a nonempty or stalled reduction a failed residual search is
-    merely INCONCLUSIVE (a different reduction might still work).
+    merely INCONCLUSIVE (a different reduction might still work).  A
+    negative ``budget`` is refused before any reduction runs.
     """
     if q != 3:
         raise InvalidParameterError("residual decomposition search supports q = 3 only")
+    check_budget(budget)
     trace = clique_reduction(g, q, lam, lam_prime)
     res = find_triangle_decomposition(
         trace.residual, budget=budget, forbidden=trace.cliques

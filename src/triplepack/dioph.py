@@ -5,6 +5,7 @@ constraints (x must miss given residues modulo further prime powers).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -215,21 +216,24 @@ class DiophInstance:
     each q_j is at least 4 and forbids between 1 and q_j - 1 residues.
     The classical statement forbids exactly three residues per q_j; any
     shorter or longer list works by the same counting argument as long
-    as some residue stays allowed.
+    as some residue stays allowed.  Every modulus and residue must be an
+    int (bool is not one); nothing is rounded.
     """
 
     equalities: tuple  # ((p, a), ...)
     avoidances: tuple  # ((q, (b1, b2, ...)), ...)
 
     def __post_init__(self):
-        eqs = tuple((int(p), int(a)) for p, a in self.equalities)
+        eqs = tuple((p, a) for p, a in self.equalities)
         avs = []
         for entry in self.avoidances:
-            q = int(entry[0])
             rest = entry[1]
-            if isinstance(rest, int):  # (q, b, c, d) form
+            if not isinstance(rest, Iterable):  # (q, b, c, d) form
                 rest = entry[1:]
-            avs.append((q, tuple(int(b) for b in rest)))
+            avs.append((entry[0], tuple(rest)))
+        for x in [v for e in eqs for v in e] + [v for q, f in avs for v in (q, *f)]:
+            if type(x) is not int:
+                raise InvalidParameterError(f"expected an integer, got {x!r}")
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "avoidances", tuple(avs))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .decomp import dehon_conditions
+from .decomp import dehon_conditions, verify_decomposition
 from .errors import (
     InfeasibleSequenceError,
     NTooSmallError,
@@ -40,13 +40,14 @@ from .errors import (
 from .gdd import assemble_simple_gdd, gadget_multigraph, simple_gdd_exists
 from .multigraph import (
     Multigraph,
+    _pair,
     check_leave_conditions,
     complete,
     disjoint_union,
     erdos_gallai_feasible,
     realize_degree_sequence,
 )
-from .params import CaseLabel, classify, johnson_bound
+from .params import CaseLabel, classify, johnson_bound, upper_bound
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,43 @@ class LeaveCertificate:
         return check_leave_conditions(self.graph, self.n, self.k, self.xi, self.sigma)
 
 
+def verify_certificate(cert: LeaveCertificate) -> bool:
+    """The one check of a certificate, run by every constructor and by
+    ``triplepack verify``: the leave conditions hold, xi is at most
+    upper_bound(n, k), and every explicit simple-GDD witness decomposes
+    its gadget."""
+    return (
+        cert.conditions().all_pass()
+        and cert.xi <= upper_bound(cert.n, cert.k)
+        and all(
+            verify_decomposition(gadget_multigraph(*e.params), e.blocks)
+            for e in cert.evidence
+            if e.kind == "simple-gdd" and e.blocks
+        )
+    )
+
+
 def _require(ok: bool, what: str) -> None:
     """An explicit check of a constructor's invariant; unlike an assert
     statement it also runs under ``python -O``."""
     if not ok:
         raise TriplepackError(f"construction invariant failed: {what}")
+
+
+def _certify(n, k, label, xi, graph, parameters, evidence) -> LeaveCertificate:
+    cert = LeaveCertificate(n, k, label, xi, graph, parameters, tuple(evidence))
+    _require(verify_certificate(cert), "verify_certificate")
+    return cert
+
+
+def _too_small(n: int, k: int, need: int, what: str) -> NTooSmallError:
+    """The refusal for a construction that needs n >= ``need``, carrying
+    the smallest such n in the residue class of n mod k(k-1)(k-2)."""
+    period = k * (k - 1) * (k - 2)
+    min_n = n + -(-(need - n) // period) * period
+    return NTooSmallError(
+        f"{what}; smallest workable n in this residue class is {min_n}", min_n=min_n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +135,7 @@ def _excess_multigraph(n: int, count: int, degree: int) -> Multigraph:
     ``degree``."""
     _require(count >= 2 and degree >= 1, "excess needs two vertices and degree >= 1")
     if count >= 3 and degree % 2 == 0:
-        pairs = {
-            (min(i, (i + 1) % count), max(i, (i + 1) % count)): degree // 2
-            for i in range(count)
-        }
+        pairs = {_pair(i, (i + 1) % count): degree // 2 for i in range(count)}
     else:
         _require(count % 2 == 0, "a matching needs an even vertex count")
         pairs = {(2 * i, 2 * i + 1): degree for i in range(count // 2)}
@@ -153,14 +183,11 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
             g_prime = realize_degree_sequence([gamma0] + [gamma] * (n - 1))
         except InfeasibleSequenceError:
             period = k * (k - 1) * (k - 2)
-            min_n = n + period
-            while not erdos_gallai_feasible([gamma0] + [gamma] * (min_n - 1)):
-                min_n += period
-            raise NTooSmallError(
-                f"degree sequence [{gamma0}, {gamma}^(n-1)] needs more "
-                f"vertices; smallest workable n in this residue class is {min_n}",
-                min_n=min_n,
-            ) from None
+            need = n + period
+            while not erdos_gallai_feasible([gamma0] + [gamma] * (need - 1)):
+                need += period
+            what = f"degree sequence [{gamma0}, {gamma}^(n-1)] needs more vertices"
+            raise _too_small(n, k, need, what) from None
         params = {"r": r, "gamma": gamma, "gamma0": gamma0}
 
     # (k-2)G' + rK_n in one step: G' has base 0, so every pair not in its
@@ -174,28 +201,12 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
     if top > n - 2:
         # a pair needs as many distinct common neighbors as its
         # multiplicity, so no such leave can decompose at this n
-        period = k * (k - 1) * (k - 2)
-        min_n = n + ((top + 2 - n + period - 1) // period) * period
-        raise NTooSmallError(
-            f"max multiplicity {top} exceeds n - 2 = {n - 2}; smallest "
-            f"workable n in this residue class is {min_n}",
-            min_n=min_n,
-        )
+        raise _too_small(n, k, top + 2, f"max multiplicity {top} exceeds n - 2 = {n - 2}")
     # decomposability of the composite (k-2)G' + rK_n is the one claim
     # that is argued greedily/asymptotically rather than by an exact
     # existence theorem, so the evidence is always reduction-kind here
     evidence = (EvidenceItem(kind="reduction", params=(n, r, k - 2), copies=1),)
-    cert = LeaveCertificate(
-        n=n,
-        k=k,
-        case=label,
-        xi=xi,
-        graph=graph,
-        parameters=params,
-        evidence=evidence,
-    )
-    _require(cert.conditions().all_pass(), "leave conditions")
-    return cert
+    return _certify(n, k, label, xi, graph, params, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +238,8 @@ def construct_q_leave(n: int, k: int) -> LeaveCertificate:
     q = data.q_beta
     xi_full = johnson_bound(n, k, 3)
     if q == 0:
-        cert = LeaveCertificate(
-            n=n,
-            k=k,
-            case=label,
-            xi=xi_full,
-            graph=Multigraph(n),
-            parameters={"q": 0},
-            evidence=(EvidenceItem(kind="empty", params=(), copies=0),),
-        )
-        _require(cert.conditions().all_pass(), "leave conditions")
-        return cert
+        empty = EvidenceItem(kind="empty", params=(), copies=0)
+        return _certify(n, k, label, xi_full, Multigraph(n), {"q": 0}, (empty,))
 
     ell = 2 if k % 3 in (1, 2) else 3
     sol = _solve_t_c(k, ell, q)
@@ -245,13 +247,7 @@ def construct_q_leave(n: int, k: int) -> LeaveCertificate:
     t, c = sol
     m = ell * (k - 1) + 1
     if n < t * m:
-        period = k * (k - 1) * (k - 2)
-        min_n = n + ((t * m - n + period - 1) // period) * period
-        raise NTooSmallError(
-            f"construction needs {t * m} vertices, n = {n}; "
-            f"smallest workable n in this residue class is {min_n}",
-            min_n=min_n,
-        )
+        raise _too_small(n, k, t * m, f"construction needs {t * m} vertices, n = {n}")
     copy = complete(m, k - 2)
     graph = disjoint_union([copy] * t, pad_to_n=n)
     deficit = t * ell * ell - c
@@ -264,17 +260,9 @@ def construct_q_leave(n: int, k: int) -> LeaveCertificate:
     # minimal-t solution: t <= (2k - q)/l(l-1), so deficit <= 4k - 6
     _require(deficit <= 4 * k - 6, "deficit <= 4k - 6")
     _require(dehon_conditions(m, k - 2), "Dehon conditions of the component")
-    cert = LeaveCertificate(
-        n=n,
-        k=k,
-        case=label,
-        xi=xi,
-        graph=graph,
-        parameters={"q": q, "l": ell, "t": t, "c": c, "deficit": deficit},
-        evidence=(EvidenceItem(kind="dehon", params=(m, k - 2), copies=t),),
-    )
-    _require(cert.conditions().all_pass(), "leave conditions")
-    return cert
+    params = {"q": q, "l": ell, "t": t, "c": c, "deficit": deficit}
+    evidence = (EvidenceItem(kind="dehon", params=(m, k - 2), copies=t),)
+    return _certify(n, k, label, xi, graph, params, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +323,25 @@ def _gadget_evidence(c: _Gadget, k: int, copies: int) -> EvidenceItem:
     )
 
 
+def _first_fit(n: int, third_options: list, fillers: list):
+    """The first (c1, r1, c2, r2, c3, t3) that covers n: C3 options in
+    order, then filler pairs c1 <= c2 in order, with r1 * n1 + r2 * n2 =
+    n - n3 and 0 <= r2 < n1.  None when no option fits."""
+    for n3, c3, t3 in third_options:
+        rest = n - n3
+        for i, c1 in enumerate(fillers):
+            for c2 in fillers[i:]:
+                n1, n2 = c1.order, c2.order
+                d = gcd(n1, n2)
+                if rest % d != 0:
+                    continue
+                # r2 * n2 = rest (mod n1), 0 <= r2 < n1, then r1 >= 0
+                r2 = rest // d * pow(n2 // d, -1, n1 // d) % (n1 // d)
+                if r2 * n2 <= rest:
+                    return c1, (rest - r2 * n2) // n1, c2, r2, c3, t3
+    return None
+
+
 def construct_p_leave(n: int, k: int) -> LeaveCertificate:
     """Leave for r = 0, alpha = p(k-2) != 0, assembled from complete
     multipartite gadgets with cross multiplicity k - 2.
@@ -372,33 +379,14 @@ def construct_p_leave(n: int, k: int) -> LeaveCertificate:
                     break
     third_options.sort(key=lambda o: o[0])
 
-    chosen = None
-    for n3, c3, t3 in third_options:
-        for i, c1 in enumerate(fillers):
-            for c2 in fillers[i:]:
-                rest = n - n3
-                n1, n2 = c1.order, c2.order
-                d = gcd(n1, n2)
-                if rest % d != 0:
-                    continue
-                # r2 * n2 = rest (mod n1), 0 <= r2 < n1, then r1 >= 0
-                r2 = rest // d * pow(n2 // d, -1, n1 // d) % (n1 // d)
-                if r2 * n2 > rest:
-                    continue
-                r1 = (rest - r2 * n2) // n1
-                chosen = (c1, r1, c2, r2, c3, t3, n3)
-                break
-            if chosen:
-                break
-        if chosen:
-            break
+    chosen = _first_fit(n, third_options, fillers)
     if chosen is None:
         raise ParameterSearchExhaustedError(
             f"no gadget assembly covers n = {n} for (k,p)=({k},{p}); "
             "n may be below the construction's reach"
         )
 
-    c1, r1, c2, r2, c3, t3, n3 = chosen
+    c1, r1, c2, r2, c3, t3 = chosen
     components = []
     evidence = []
     for c, copies in ((c1, r1), (c2, r2), (c3, t3)):
@@ -414,27 +402,18 @@ def construct_p_leave(n: int, k: int) -> LeaveCertificate:
     den = k * (k - 1) * (k - 2)
     _require(num % den == 0, "edge count divisible for an integral xi")
     xi = num // den
-    cert = LeaveCertificate(
-        n=n,
-        k=k,
-        case=label,
-        xi=xi,
-        graph=graph,
-        parameters={
-            "p": p,
-            "q": q,
-            "star": data.star_holds,
-            "c1": (c1.g, c1.l),
-            "r1": r1,
-            "c2": (c2.g, c2.l),
-            "r2": r2,
-            "c3": (c3.g, c3.l) if c3 else None,
-            "t3": t3,
-        },
-        evidence=tuple(evidence),
-    )
-    _require(cert.conditions().all_pass(), "leave conditions")
-    return cert
+    params = {
+        "p": p,
+        "q": q,
+        "star": data.star_holds,
+        "c1": (c1.g, c1.l),
+        "r1": r1,
+        "c2": (c2.g, c2.l),
+        "r2": r2,
+        "c3": (c3.g, c3.l) if c3 else None,
+        "t3": t3,
+    }
+    return _certify(n, k, label, xi, graph, params, evidence)
 
 
 # ---------------------------------------------------------------------------

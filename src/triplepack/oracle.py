@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .decomp import SearchStatus, dehon_conditions, find_triangle_decomposition
+from .decomp import (
+    SearchStatus,
+    check_budget,
+    dehon_conditions,
+    find_triangle_decomposition,
+)
 from .errors import InvalidParameterError, TriplepackError, WrongCaseError
 from .multigraph import Multigraph, complete
 from .params import CaseLabel, classify, johnson_bound
@@ -153,8 +158,7 @@ def max_packing(n: int, k: int, t: int = 3, budget: int | None = None) -> Search
     """
     if not n >= k >= t >= 1:
         raise InvalidParameterError(f"need n >= k >= t >= 1, got {(n, k, t)}")
-    if budget is not None and budget < 0:
-        raise InvalidParameterError(f"budget must be >= 0, got {budget}")
+    check_budget(budget)
     nodes = 0
     for target in range(johnson_bound(n, k, t), -1, -1):
         found, blocks, spent = _decide_packing(
@@ -172,7 +176,7 @@ def max_packing(n: int, k: int, t: int = 3, budget: int | None = None) -> Search
 # ---------------------------------------------------------------------------
 
 
-def _partitions_fixed_length(total, length, cap):
+def _partitions_fixed_length(total, length):
     """Non-increasing positive integer sequences of given length and sum."""
     def rec(remaining, length, high):
         if length == 0:
@@ -183,7 +187,7 @@ def _partitions_fixed_length(total, length, cap):
             for rest in rec(remaining - first, length - 1, first):
                 yield (first,) + rest
 
-    yield from rec(total, length, cap)
+    yield from rec(total, length, total)
 
 
 def _connected(v, mat):
@@ -225,7 +229,7 @@ def _bricks_of_weight(w, deg_unit, unit, prune=True):
     can never decompose.
     """
     for v in range(3, w + 1):
-        for deltas in _partitions_fixed_length(w, v, w):
+        for deltas in _partitions_fixed_length(w, v):
             # row sums in units
             if any(deg_unit * d % unit for d in deltas):
                 continue

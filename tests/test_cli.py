@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,19 @@ class TestConstructAndVerify:
         path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == FAIL and "FAILED" in out
+
+    def test_replaced_evidence_block_fails(self, tmp_path, capsys):
+        # (11, 5) carries an explicit simple-GDD witness; swapping one of
+        # its blocks for another triple leaves the leave conditions intact
+        path = tmp_path / "cert.json"
+        run(capsys, "construct", "--n", "11", "--k", "5", "--out", str(path))
+        data = json.loads(path.read_text())
+        blocks = data["evidence"][0]["blocks"]
+        blocks[0] = next(list(b) for b in combinations(range(11), 3)
+                         if list(b) not in blocks)
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == FAIL and "certificate: FAILED" in out
 
     def test_construct_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

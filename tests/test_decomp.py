@@ -169,6 +169,13 @@ class TestCliqueReduction:
         res = decompose_via_reduction(complete(4, 1), 3, 1, 1)
         assert res.status is SearchStatus.NONE
 
+    def test_negative_budget_refused_before_any_reduction(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decomp, "clique_reduction", lambda *a, **kw: calls.append(a))
+        with pytest.raises(InvalidParameterError):
+            decompose_via_reduction(complete(9, 2), 3, 1, 2, budget=-1)
+        assert calls == []
+
     def test_inconclusive_after_nonempty_reduction(self):
         res = decompose_via_reduction(complete(3, 2), 3, 1, 2)
         assert res.status in (SearchStatus.INCONCLUSIVE, SearchStatus.NONE)

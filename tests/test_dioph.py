@@ -131,6 +131,20 @@ class TestInstanceValidation:
         with pytest.raises(InvalidParameterError):
             DiophInstance(equalities=(), avoidances=((5, (0, 1, 2, 3, 4)),))
 
+    @pytest.mark.parametrize("eqs, avs", [
+        (((4, 1.5),), ()),
+        (((4.7, 1),), ()),
+        (((True, 0),), ()),
+        (((4, 1),), ((7, (1, 2.0)),)),
+        ((), ((7, 1.5, 2, 3),)),
+        ((), ((7.0, (1,)),)),
+        ((), ((5, (False,)),)),
+    ])
+    def test_rejects_non_integers(self, eqs, avs):
+        # refused, not truncated: (4, 1.5) used to become (4, 1)
+        with pytest.raises(InvalidParameterError, match="expected an integer"):
+            DiophInstance(equalities=eqs, avoidances=avs)
+
     def test_rejects_small_avoidance_modulus(self):
         with pytest.raises(InvalidParameterError):
             DiophInstance(equalities=(), avoidances=((3, (1,)),))

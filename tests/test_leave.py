@@ -1,19 +1,25 @@
 """Leave constructions and the lower bounds they certify."""
 
+import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from triplepack.errors import NTooSmallError, WrongCaseError
+from triplepack import jsonio, leave
+from triplepack.errors import NTooSmallError, TriplepackError, WrongCaseError
 from triplepack.leave import (
     _excess_multigraph,
     achieved_lower_bound,
     construct_p_leave,
     construct_q_leave,
     construct_r_leave,
+    verify_certificate,
 )
 from triplepack.multigraph import complete, overlay, realize_degree_sequence, scale
 from triplepack.params import CaseLabel, classify, johnson_bound, upper_bound
@@ -222,6 +228,48 @@ class TestDispatch:
         for n in (74, 134, 194):
             _, cert = achieved_lower_bound(n, 5)
             assert cert.sigma == 3
+
+
+# sha256 of jsonio.dumps(certificate_to_dict(...)): one certificate per
+# constructor branch, frozen so that a refactor cannot change the bytes
+FROZEN_CERTIFICATES = {
+    "r": (100, 7, "37036aa47735763861f6c9ccad43ed8887db1f00f1504ec06c8c6be24f2e8e20"),
+    "r-qhat-1": (9, 5, "ec53c11cd702479369afa82d831c518e8b74bba4f6a39a5373eda58f6ba7f830"),
+    "r-qhat": (27, 5, "4ed5e969a14f5f0843fb7f7405e3001ed877cce06731e3419dc67045ef5f8c7e"),
+    "design": (17, 5, "b4c4f7c19361866288e4a56f49255afd577c1bfa7495c746a95695e52f83573d"),
+    "q": (74, 5, "7295663fbdd74375bbb6c1cb58ec4b0b0a702ffb4eec46294dd6855909651e3d"),
+    "p-blocks": (11, 5, "85828ba08b97a2fdc5956cdb7b1bb737811f2b2be26bafff2ca69ee3d58d157e"),
+    "p": (20, 5, "079a4da5b7be42e428bed2d972da5243ac0cb1134405121557861159ce4103d6"),
+}
+
+
+class TestVerifyCertificate:
+    @pytest.mark.parametrize("branch", sorted(FROZEN_CERTIFICATES))
+    def test_frozen_bytes(self, branch):
+        n, k, digest = FROZEN_CERTIFICATES[branch]
+        _, cert = achieved_lower_bound(n, k)
+        text = jsonio.dumps(jsonio.certificate_to_dict(cert))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert verify_certificate(cert)
+        assert verify_certificate(jsonio.certificate_from_dict(json.loads(text)))
+
+    def test_constructors_refuse_above_upper_bound(self, monkeypatch):
+        # the leave conditions still hold; only the bound check can refuse
+        monkeypatch.setattr(leave, "upper_bound", lambda n, k: -1)
+        for build, n in ((construct_r_leave, 9), (construct_q_leave, 74),
+                         (construct_p_leave, 11)):
+            with pytest.raises(TriplepackError, match="verify_certificate"):
+                build(n, 5)
+
+    def test_replaced_witness_block_fails(self):
+        cert = construct_p_leave(11, 5)
+        item = cert.evidence[0]
+        assert item.kind == "simple-gdd" and item.blocks
+        used = {tuple(sorted(b)) for b in item.blocks}
+        other = next(b for b in combinations(range(11), 3) if b not in used)
+        tampered = dataclasses.replace(item, blocks=(other,) + item.blocks[1:])
+        assert cert.conditions().all_pass()
+        assert not verify_certificate(dataclasses.replace(cert, evidence=(tampered,)))
 
 
 def test_constructor_checks_survive_optimize_flag():
