@@ -1,0 +1,180 @@
+"""Time each command of the benchmark's cli script in fresh processes, for a
+parent revision and for the working tree, and write BENCH_cold_start.json.
+
+    python3 bench/cold_start.py --parent REV [--seed 1] [--rounds 10] \
+        [--out BENCH_cold_start.json]
+
+The commands and their seeded input files are those of the cli workload in
+``perfbench/workloads.py`` (class ``Cli``), plus a bare
+``import triplepack.cli``, the benchmark's set-up sample.  Each side runs
+from its own ``src/`` (the parent's is extracted with ``git archive``) and
+its own scratch directory, in fresh interpreters with
+PYTHONDONTWRITEBYTECODE=1, as a shell user meets it: every process compiles
+the modules it imports.  The sides alternate command by command, and which
+side goes first alternates from round to round.
+
+A first, untimed round runs every command under ``-X importtime``; the
+package modules it lists are the machine-independent counter, and each
+answer is re-checked with the workload's own check.  The answers must be
+equal on both sides; otherwise nothing is written and the exit code is 1.
+A command's time is the median of its ``--rounds`` timed runs.  Keys of an
+existing output file that this script does not write (such as end-to-end
+benchmark figures) are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+IMPORT_ONLY = ("-c", "import triplepack.cli")
+
+
+def cli_script(seed: int, tmp: str) -> list:
+    """(argv, check) of the cli workload for ``seed``, its input files
+    written under ``tmp``; the checks come from the working tree's package."""
+    sys.dont_write_bytecode = True  # leave no caches under perfbench/ or src/
+    for path in (REPO / "perfbench", REPO / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import workloads
+
+    return workloads.Cli(workloads.load_api(), seed, tmp).script
+
+
+def python_args(argv) -> list:
+    return list(IMPORT_ONLY) if argv is None else ["-m", "triplepack.cli", *argv]
+
+
+def run(src: Path, tmp: str, args: list) -> tuple:
+    """(seconds, process) of one fresh interpreter on ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=tmp, env=env, capture_output=True, text=True)
+    return time.perf_counter() - start, proc
+
+
+def package_modules(importtime_stderr: str) -> list:
+    """The triplepack modules an ``-X importtime`` listing names."""
+    names = {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines() if "|" in line}
+    return sorted(name for name in names if name.split(".")[0] == "triplepack")
+
+
+def first_round(src: Path, tmp: str, script: list) -> list:
+    """Per command: (modules, status, answer) from one untimed run."""
+    import workloads
+
+    rows = []
+    for argv, check in script:
+        _, proc = run(src, tmp, ["-X", "importtime", *python_args(argv)])
+        status, answer = "ok", ""
+        if proc.returncode not in (0, 1):
+            status = f"exit {proc.returncode}"
+        elif check is not None:
+            errs, answer, _gap = workloads.checked(check, proc.stdout)
+            if errs or proc.returncode:
+                status = "; ".join(errs) or "exit 1"
+        rows.append((package_modules(proc.stderr), status, answer))
+    return rows
+
+
+def extract_src(rev: str, into: Path) -> Path:
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True, check=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into / "src"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--out", default=str(REPO / "BENCH_cold_start.json"))
+    args = p.parse_args(argv)
+
+    sha = subprocess.run(
+        ["git", "-C", str(REPO), "rev-parse", args.parent],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sides = {"parent": extract_src(sha, tmp), "change": REPO / "src"}
+        work, scripts = {}, {}
+        for side in sides:
+            work[side] = str(tmp / side)
+            os.mkdir(work[side])
+            scripts[side] = [(None, None), *cli_script(args.seed, work[side])]
+        checked = {side: first_round(sides[side], work[side], scripts[side]) for side in sides}
+        seconds = {side: [[] for _ in scripts[side]] for side in sides}
+        for r in range(args.rounds):
+            for i in range(len(scripts["parent"])):
+                # alternate which side runs first
+                for side in sorted(sides, reverse=r % 2 == 1):
+                    took, _ = run(sides[side], work[side], python_args(scripts[side][i][0]))
+                    seconds[side][i].append(took)
+        labels = [
+            " ".join(IMPORT_ONLY[1:]) if argv is None
+            else " ".join(os.path.basename(a) if a.startswith(work["change"]) else a for a in argv)
+            for argv, _ in scripts["change"]
+        ]
+
+    commands = []
+    for i, label in enumerate(labels):
+        (p_mods, p_status, p_answer), (c_mods, c_status, c_answer) = checked["parent"][i], checked["change"][i]
+        if (p_status, p_answer) != (c_status, c_answer):
+            print(f"answers differ between the sides on {label!r}: {p_status!r} vs {c_status!r}", file=sys.stderr)
+            return 1
+        commands.append({
+            "command": label,
+            "status": c_status,
+            "parent_modules": p_mods,
+            "change_modules": c_mods,
+            "parent_ms": round(statistics.median(seconds["parent"][i]) * 1e3, 2),
+            "change_ms": round(statistics.median(seconds["change"][i]) * 1e3, 2),
+        })
+
+    script_rows = commands[1:]  # without the bare import
+    total = {side: round(sum(c[f"{side}_ms"] for c in script_rows), 1) for side in sides}
+    modules = {side: sum(len(c[f"{side}_modules"]) for c in script_rows) for side in sides}
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data.update({
+        "topic": "cold start: each triplepack command loads only the modules it runs",
+        "hardware": f"{platform.machine()}, {os.cpu_count()} CPUs, "
+        f"{platform.python_implementation()} {platform.python_version()}, one process at a time",
+        "micro_command": f"python3 bench/cold_start.py --parent {args.parent} "
+        f"--seed {args.seed} --rounds {args.rounds}",
+        "micro": {
+            "parent": sha,
+            "seed": args.seed,
+            "rounds": args.rounds,
+            "method": "fresh interpreters with PYTHONDONTWRITEBYTECODE=1, each side on its own "
+            "src/; sides alternate per command and which runs first per round; a command's "
+            "time is the median wall time over the rounds (not host-corrected); modules are "
+            "the triplepack modules listed by -X importtime in an untimed first round, whose "
+            "answers were re-checked and equal on both sides",
+            "script_total_ms": {**total, "ratio": round(total["parent"] / total["change"], 2)},
+            "script_modules_loaded": modules,
+            "commands": commands,
+        },
+    })
+    out.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"{len(script_rows)} commands: parent {total['parent']} ms, change {total['change']} ms; "
+          f"modules loaded {modules['parent']} -> {modules['change']}; "
+          f"import {commands[0]['parent_ms']} -> {commands[0]['change_ms']} ms; wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

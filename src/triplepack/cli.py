@@ -4,6 +4,8 @@ Subcommands: bounds, classify, construct, decompose, gdd, dioph, brute,
 verify.  Exit codes: 0 success, 1 verification failed or no witness
 where one was demanded, 2 invalid input, 3 budget exceeded.  The
 TRIPLEPACK_BUDGET environment variable sets the default search budget.
+Each command imports the package modules it runs, so a fresh process
+loads only those.
 """
 
 from __future__ import annotations
@@ -14,19 +16,7 @@ import os
 import sys
 
 from . import jsonio
-from .decomp import SearchStatus, find_triangle_decomposition
-from .dioph import solve_avoidance
 from .errors import TriplepackError
-from .gdd import (
-    lgdd_exists,
-    search_simple_gdd,
-    simple_gdd_exists,
-    simple_ts_exists,
-    verify_gdd,
-)
-from .leave import achieved_lower_bound, verify_certificate
-from .oracle import BlockCollection, ReportStatus, max_packing, verify_packing
-from .params import classify, j_prime, johnson_bound, upper_bound
 
 OK, FAIL, BAD_INPUT, BUDGET = 0, 1, 2, 3
 
@@ -37,7 +27,9 @@ def _n_range(spec: str, k: int):
     return range(max(int(lo), k + 1), int(hi if dots else lo) + 1)
 
 
-def _exit_code(status: SearchStatus) -> int:
+def _exit_code(status) -> int:
+    from .decomp import SearchStatus
+
     return {SearchStatus.FOUND: OK, SearchStatus.BUDGET: BUDGET}.get(status, FAIL)
 
 
@@ -56,6 +48,9 @@ def _emit(payload: dict, out: str | None):
 
 
 def _cmd_bounds(args) -> int:
+    from .leave import achieved_lower_bound
+    from .params import classify, j_prime, johnson_bound, upper_bound
+
     rows = []
     for n in _n_range(args.n, args.k):
         label, _ = classify(n, args.k)
@@ -89,6 +84,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .params import classify
+
     print(f"{'n':>6} {'k':>4} {'case':<10} residues")
     for n in _n_range(args.n, args.k):
         label, data = classify(n, args.k)
@@ -102,6 +99,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .leave import achieved_lower_bound
+
     try:
         _xi, cert = achieved_lower_bound(args.n, args.k)
     except TriplepackError as exc:
@@ -112,6 +111,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decomp import SearchStatus, find_triangle_decomposition
+
     g = jsonio.multigraph_from_dict(_load(args.input))
     res = find_triangle_decomposition(g, budget=args.budget)
     payload = {"status": res.status.value}
@@ -124,6 +125,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_gdd(args) -> int:
+    from .gdd import lgdd_exists, search_simple_gdd, simple_gdd_exists, simple_ts_exists
+
     row = {
         "g": args.g,
         "u": args.u,
@@ -145,6 +148,8 @@ def _cmd_gdd(args) -> int:
 
 
 def _cmd_dioph(args) -> int:
+    from .dioph import solve_avoidance
+
     inst = jsonio.dioph_from_dict(_load(args.input))
     x = solve_avoidance(inst)
     _emit({**jsonio.dioph_to_dict(inst), "solution": x}, args.out)
@@ -152,6 +157,8 @@ def _cmd_dioph(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    from .oracle import BlockCollection, ReportStatus, max_packing
+
     report = max_packing(args.n, args.k, args.t, args.budget)
     payload = {"n": args.n, "k": args.k, "t": args.t}
     if report.witness is not None:
@@ -172,10 +179,16 @@ def _cmd_verify(args) -> int:
     kind = jsonio.identify(data)
     ok = False
     if kind == "certificate":
+        from .leave import verify_certificate
+
         ok = verify_certificate(jsonio.certificate_from_dict(data))
     elif kind == "gdd":
+        from .gdd import verify_gdd
+
         ok = verify_gdd(jsonio.gdd_from_dict(data), require_simple=True)
     elif kind == "packing":
+        from .oracle import verify_packing
+
         ok = verify_packing(jsonio.packing_from_dict(data))
     elif kind == "multigraph":
         g = jsonio.multigraph_from_dict(data)
@@ -261,9 +274,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # malformed input: bad numbers (ValueError, which covers JSON syntax
-    # errors), wrongly shaped JSON values (TypeError), missing keys, or a
-    # path that cannot be read or written (OSError)
-    except (TriplepackError, OSError, KeyError, ValueError, TypeError) as exc:
+    # errors), numbers too large to size a list (OverflowError), wrongly
+    # shaped JSON values (TypeError), missing keys, or a path that cannot
+    # be read or written (OSError)
+    except (TriplepackError, OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

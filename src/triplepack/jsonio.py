@@ -11,19 +11,24 @@ on disk.
 Readers refuse every number that is not a JSON integer (floats, booleans,
 strings) with InvalidParameterError instead of rounding it, and likewise
 any other value where a JSON object is expected.
+
+Each reader imports its target type when it is called, so a process that
+only writes, or reads one kind of artifact, loads no other package module.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .dioph import DiophInstance
 from .errors import InvalidParameterError
-from .gdd import GddInstance
-from .leave import EvidenceItem, LeaveCertificate
-from .multigraph import Multigraph
-from .oracle import BlockCollection
-from .params import CaseLabel
+
+if TYPE_CHECKING:
+    from .dioph import DiophInstance
+    from .gdd import GddInstance
+    from .leave import LeaveCertificate
+    from .multigraph import Multigraph
+    from .oracle import BlockCollection
 
 
 def multigraph_to_dict(g: Multigraph) -> dict:
@@ -49,6 +54,8 @@ def _obj(d) -> dict:
 
 
 def multigraph_from_dict(d: dict) -> Multigraph:
+    from .multigraph import Multigraph
+
     mult_map = {}
     edges = _obj(d).get("edges", [])
     for u, v, m in edges:
@@ -74,6 +81,8 @@ def gdd_to_dict(inst: GddInstance) -> dict:
 
 
 def gdd_from_dict(d: dict) -> GddInstance:
+    from .gdd import GddInstance
+
     blocks = tuple(tuple(b) for b in blocks_to_list(_obj(d)["blocks"]))
     k = len(blocks[0]) if blocks else 3
     return GddInstance(
@@ -95,6 +104,8 @@ def packing_to_dict(bc: BlockCollection) -> dict:
 
 
 def packing_from_dict(d: dict) -> BlockCollection:
+    from .oracle import BlockCollection
+
     return BlockCollection(
         n=_int(_obj(d)["n"]),
         k=_int(d["k"]),
@@ -125,6 +136,9 @@ def certificate_to_dict(cert: LeaveCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> LeaveCertificate:
+    from .leave import EvidenceItem, LeaveCertificate
+    from .params import CaseLabel
+
     params = {
         key: tuple(v) if isinstance(v, list) else v
         for key, v in _obj(_obj(d)["params"]).items()
@@ -158,6 +172,8 @@ def dioph_to_dict(inst: DiophInstance) -> dict:
 
 
 def dioph_from_dict(d: dict) -> DiophInstance:
+    from .dioph import DiophInstance
+
     return DiophInstance(
         equalities=tuple((_int(p), _int(a)) for p, a in _obj(d).get("equalities", [])),
         avoidances=tuple(

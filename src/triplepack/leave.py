@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import comb, gcd
 
 from .decomp import dehon_conditions, verify_decomposition
 from .errors import (
     InfeasibleSequenceError,
+    InvalidParameterError,
     NTooSmallError,
     ParameterSearchExhaustedError,
     TriplepackError,
@@ -87,16 +88,29 @@ def verify_certificate(cert: LeaveCertificate) -> bool:
     """The one check of a certificate, run by every constructor and by
     ``triplepack verify``: the leave conditions hold, xi is at most
     upper_bound(n, k), and every explicit simple-GDD witness decomposes
-    its gadget."""
+    its gadget.  Raises InvalidParameterError unless n > k >= 4, the range
+    of ``classify``."""
+    if not cert.n > cert.k >= 4:
+        raise InvalidParameterError(f"need n > k >= 4, got {(cert.n, cert.k)}")
     return (
         cert.conditions().all_pass()
         and cert.xi <= upper_bound(cert.n, cert.k)
         and all(
-            verify_decomposition(gadget_multigraph(*e.params), e.blocks)
+            _witness_fits(cert.n, *e.params, len(e.blocks))
+            and verify_decomposition(gadget_multigraph(*e.params), e.blocks)
             for e in cert.evidence
             if e.kind == "simple-gdd" and e.blocks
         )
     )
+
+
+def _witness_fits(n: int, g: int, u: int, lam: int, blocks: int) -> bool:
+    """Whether a witness for the gadget g^u at index lam can be checked:
+    the gadget has at most n vertices and there is one block for each
+    three of its C(u, 2) g^2 lam edges.  Run before the gadget is built,
+    whose size is only bounded by the parameters; a parameter below 1 is
+    left to ``gadget_multigraph`` to refuse."""
+    return min(g, u, lam) < 1 or (g * u <= n and 3 * blocks == comb(u, 2) * g * g * lam)
 
 
 def _require(ok: bool, what: str) -> None:

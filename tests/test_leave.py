@@ -12,7 +12,12 @@ from pathlib import Path
 import pytest
 
 from triplepack import jsonio, leave
-from triplepack.errors import NTooSmallError, TriplepackError, WrongCaseError
+from triplepack.errors import (
+    InvalidParameterError,
+    NTooSmallError,
+    TriplepackError,
+    WrongCaseError,
+)
 from triplepack.leave import (
     _excess_multigraph,
     achieved_lower_bound,
@@ -269,6 +274,28 @@ class TestVerifyCertificate:
         other = next(b for b in combinations(range(11), 3) if b not in used)
         tampered = dataclasses.replace(item, blocks=(other,) + item.blocks[1:])
         assert cert.conditions().all_pass()
+        assert not verify_certificate(dataclasses.replace(cert, evidence=(tampered,)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_k_below_4_refused(self, k):
+        # k = 2 used to divide by k - 2 inside the leave conditions
+        cert = achieved_lower_bound(9, 5)[1]
+        with pytest.raises(InvalidParameterError, match="n > k >= 4"):
+            verify_certificate(dataclasses.replace(cert, k=k))
+
+    @pytest.mark.parametrize("params, blocks", [
+        ((1000, 1000, 1), 1),  # the gadget has more vertices than n = 11
+        ((1, 11, 10**6), 1),  # C(11, 2) 10^6 / 3 blocks needed, one given
+        ((1, 11, 3), 54),  # one block of the 55 dropped
+    ], ids=["order-above-n", "huge-index", "block-dropped"])
+    def test_witness_of_the_wrong_size_fails_before_the_gadget_is_built(
+        self, monkeypatch, params, blocks
+    ):
+        cert = construct_p_leave(11, 5)
+        item = cert.evidence[0]
+        assert (item.params, len(item.blocks)) == ((1, 11, 3), 55)
+        tampered = dataclasses.replace(item, params=params, blocks=item.blocks[:blocks])
+        monkeypatch.setattr(leave, "gadget_multigraph", None)  # never called
         assert not verify_certificate(dataclasses.replace(cert, evidence=(tampered,)))
 
 

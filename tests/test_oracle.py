@@ -118,6 +118,16 @@ class TestBricks:
         counts = {w: sum(1 for _ in oracle._bricks_of_weight(w, 12, 3)) for w in range(3, 10)}
         assert counts == {3: 0, 4: 0, 5: 1, 6: 0, 7: 0, 8: 0, 9: 0}
 
+    # unit 1 stops at w = 6: at w = 7 the pruned search is far slower than
+    # the unpruned one
+    @pytest.mark.parametrize("unit, weights", [(3, range(3, 10)), (1, range(3, 7))])
+    def test_pruning_finds_the_same_weights(self, unit, weights):
+        found = {
+            prune: list(oracle._decomposable_brick_weights(weights, 12, unit, prune=prune)[0])
+            for prune in (True, False)
+        }
+        assert found[True] == found[False] == ([5] if unit == 3 else [5, 6])
+
     def test_degree_unit_comes_from_the_caller(self):
         # k = 6: every degree is a multiple of (k-1)(k-2) = 20, multiplicities
         # of k - 2 = 4 (or of 1, relaxed); weight 6 is 4K6 at either unit

@@ -1,8 +1,11 @@
-"""Package-wide properties: the public name list, the absence of
-``assert`` statements, which ``python -O`` strips, and the package names
-that the benchmark under ``perfbench/`` binds."""
+"""Package-wide properties: the public name list, what a cold import
+loads, the absence of ``assert`` statements, which ``python -O`` strips,
+and the package names that the benchmark under ``perfbench/`` binds."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -19,6 +22,48 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in triplepack.__all__:
         obj = getattr(triplepack, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+# run in a fresh interpreter: what each import adds to sys.modules, then
+# the public names that a star import binds but their module does not
+COLD_IMPORT = """
+import json, sys
+from importlib import import_module
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("triplepack", "sympy"))
+
+import triplepack
+after_package = loaded()
+import triplepack.cli
+after_cli = loaded()
+ns = {}
+exec("from triplepack import *", ns)
+unbound = [
+    name for name in triplepack.__all__
+    if ns.get(name) is not getattr(import_module("triplepack." + triplepack._MODULE_OF[name]), name)
+]
+print(json.dumps({
+    "package": after_package,
+    "cli": after_cli,
+    "unbound": unbound,
+    "not_in_dir": sorted(set(triplepack.__all__) - set(dir(triplepack))),
+}))
+"""
+
+
+def test_cold_import_loads_only_what_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["package"] == ["triplepack"]
+    # no sympy either: dioph carries its own CRT and factoring
+    assert got["cli"] == ["triplepack", "triplepack.cli", "triplepack.errors", "triplepack.jsonio"]
+    assert got["unbound"] == [] and got["not_in_dir"] == []
 
 
 def test_no_assert_statements_in_the_package():
