@@ -86,7 +86,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_classify(args) -> int:
     from .params import classify
 
-    print(f"{'n':>6} {'k':>4} {'case':<10} residues")
+    rows = []  # all of them before any output, so a refusal prints nothing
     for n in _n_range(args.n, args.k):
         label, data = classify(n, args.k)
         extra = {
@@ -94,7 +94,10 @@ def _cmd_classify(args) -> int:
             for key in ("r", "gamma", "gamma0", "q_beta", "p", "q_excess", "star_holds")
             if getattr(data, key) is not None
         }
-        print(f"{n:>6} {args.k:>4} {label.value:<10} {extra}")
+        rows.append(f"{n:>6} {args.k:>4} {label.value:<10} {extra}")
+    print(f"{'n':>6} {'k':>4} {'case':<10} residues")
+    for row in rows:
+        print(row)
     return OK
 
 

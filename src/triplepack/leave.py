@@ -31,7 +31,6 @@ from math import comb, gcd
 
 from .decomp import dehon_conditions, verify_decomposition
 from .errors import (
-    InfeasibleSequenceError,
     InvalidParameterError,
     NTooSmallError,
     ParameterSearchExhaustedError,
@@ -41,12 +40,12 @@ from .errors import (
 from .gdd import assemble_simple_gdd, gadget_multigraph, simple_gdd_exists
 from .multigraph import (
     Multigraph,
+    _havel_hakimi,
     _pair,
     check_leave_conditions,
     complete,
     disjoint_union,
     erdos_gallai_feasible,
-    realize_degree_sequence,
 )
 from .params import CaseLabel, classify, johnson_bound, upper_bound
 
@@ -78,10 +77,13 @@ class LeaveCertificate:
 
     @property
     def sigma(self) -> int:
+        """The largest multiplicity of the leave (the cap it must meet is n - 2)."""
         return self.graph.max_mult()
 
     def conditions(self):
-        return check_leave_conditions(self.graph, self.n, self.k, self.xi, self.sigma)
+        # a distinct triangle decomposition gives each triangle through a
+        # pair its own third vertex, so no pair carries more than n - 2
+        return check_leave_conditions(self.graph, self.n, self.k, self.xi, self.n - 2)
 
 
 def verify_certificate(cert: LeaveCertificate) -> bool:
@@ -191,25 +193,29 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
                 f"excess needs {qhat} vertices, n = {n}", min_n=None
             )
         g_prime = _excess_multigraph(n, qhat, k - 1)
+        # (k-2)G' + rK_n: a pair missing from the map of G' sits at r
+        mult_map = {p: (k - 2) * m + r for p, m in g_prime.mult_map.items()}
+        degrees = None
         params = {"r": r, "gamma": 0, "gamma0": gamma0, "qhat": qhat}
     else:
-        try:
-            g_prime = realize_degree_sequence([gamma0] + [gamma] * (n - 1))
-        except InfeasibleSequenceError:
+        seq = [gamma0] + [gamma] * (n - 1)
+        if not erdos_gallai_feasible(seq):
             period = k * (k - 1) * (k - 2)
             need = n + period
             while not erdos_gallai_feasible([gamma0] + [gamma] * (need - 1)):
                 need += period
             what = f"degree sequence [{gamma0}, {gamma}^(n-1)] needs more vertices"
-            raise _too_small(n, k, need, what) from None
+            raise _too_small(n, k, need, what)
+        # G' (Havel–Hakimi) is simple: each of its pairs sits at k - 2 + r
+        mult_map = dict.fromkeys(_havel_hakimi(seq), k - 2 + r)
+        # the composite has these degrees exactly when G' has degrees seq
+        rest = r * (n - 1)
+        degrees = [(k - 2) * gamma0 + rest] + [(k - 2) * gamma + rest] * (n - 1)
         params = {"r": r, "gamma": gamma, "gamma0": gamma0}
 
-    # (k-2)G' + rK_n in one step: G' has base 0, so every pair not in its
-    # map sits at r and every listed pair at (k-2)m + r
-    graph = Multigraph(
-        n, base=r, mult_map={p: (k - 2) * m + r for p, m in g_prime.mult_map.items()}
-    )
+    graph = Multigraph(n, base=r, mult_map=mult_map)
     graph.validate()
+    _require(degrees is None or graph.degrees() == degrees, "degrees of (k-2)G' + rK_n")
     _require(2 * graph.edge_count() == edge_target, "edge total of (k-2)G' + rK_n")
     top = graph.max_mult()
     if top > n - 2:

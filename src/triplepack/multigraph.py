@@ -38,17 +38,30 @@ class Multigraph:
         n, base = self.n, self.base
         if n < 0 or base < 0:
             raise InvalidParameterError("vertex count and base must be non-negative")
-        # normalize: orient pairs u < v, drop entries equal to base, reject
+        mult_map = self.mult_map
+        # a canonical map (every pair oriented u < v and in range, every
+        # multiplicity non-negative and != base), which every builder and
+        # the JSON reader produce, is copied after one comparison per pair
+        try:
+            for (u, v), m in mult_map.items():
+                if not (0 <= u < v < n and 0 <= m != base):
+                    break
+            else:
+                object.__setattr__(self, "mult_map", dict(mult_map))
+                return
+        except (TypeError, ValueError):
+            pass  # the rebuild below raises its own error for this entry
+        # rebuild: orient pairs u < v, drop entries equal to base, reject
         # loops / out-of-range vertices / negatives
         clean = {}
-        for p, m in self.mult_map.items():
+        for p, m in mult_map.items():
             u, v = p
             if u < v:
                 ok = 0 <= u and v < n
             else:
                 ok = 0 <= v and u < n and u != v
                 p = (v, u)
-                if ok and p in self.mult_map:
+                if ok and p in mult_map:
                     raise InvalidParameterError(f"pair {p} listed in both orientations")
             if not ok or m < 0:
                 raise InvalidParameterError(_bad_entry(u, v, n))
@@ -239,57 +252,60 @@ def erdos_gallai_feasible(seq) -> bool:
     return True
 
 
-def realize_degree_sequence(seq) -> Multigraph:
-    """Deterministic Havel–Hakimi realization of a degree sequence.
+def _havel_hakimi(seq) -> list:
+    """The pairs of the deterministic Havel–Hakimi realization of a
+    degree sequence, each oriented u < v, in the order they are made.
 
-    Returns a simple graph (all multiplicities <= 1) with exactly the
-    requested degrees, or raises InfeasibleSequenceError.  Uses bucket
-    queues so that the cost is O(n + |E|) even for large near-regular
-    sequences; ties are broken by bucket insertion order, which is fixed
-    for a fixed input.
+    Bucket ``d`` holds the vertices of residual degree ``d``, at first in
+    descending label order so that the smallest labels come off its end.
+    A step removes a vertex x from the top bucket and takes its partners
+    from the ends of the buckets, level by level with one slice each; a
+    level's partners move down one bucket once the level below has been
+    taken from.  The cost is O(n + |E|) even for large near-regular
+    sequences.  Raises InfeasibleSequenceError when a vertex runs out of
+    partners.
     """
-    seq = list(seq)
-    n = len(seq)
-    if not erdos_gallai_feasible(seq):
-        raise InfeasibleSequenceError(f"degree sequence not realizable: {seq}")
-    residual = list(seq)
-    maxdeg = max(residual, default=0)
-    buckets = [[] for _ in range(maxdeg + 1)]
-    for v in range(n - 1, -1, -1):  # so that pops yield smallest labels first
-        buckets[residual[v]].append(v)
-    edges = {}
-    top = maxdeg
+    buckets = [[] for _ in range(max(seq, default=0) + 1)]
+    for v in range(len(seq) - 1, -1, -1):
+        buckets[seq[v]].append(v)
+    pairs = []
+    add = pairs.append
+    top = len(buckets) - 1
     while True:
         while top > 0 and not buckets[top]:
             top -= 1
         if top == 0:
-            break
+            return pairs
         x = buckets[top].pop()
-        d = residual[x]
-        # collect the d highest-residual other vertices, popping each bucket
-        # from its end; bucket `level` holds exactly the vertices of
-        # residual `level`
-        chosen = []
-        level = top
-        while len(chosen) < d and level > 0:
+        need = level = top
+        held = []  # the partners taken from level + 1
+        while need and level > 0:
             bucket = buckets[level]
-            need = d - len(chosen)
-            if need >= len(bucket):
-                chosen += reversed(bucket)
-                bucket.clear()
-            else:
-                chosen += reversed(bucket[-need:])
-                del bucket[-need:]
+            got = bucket[: -need - 1 : -1]  # up to need, from the end
+            del bucket[-need:]
+            need -= len(got)
+            bucket += held
+            held = got
             level -= 1
-        if len(chosen) < d:
-            raise InfeasibleSequenceError(f"degree sequence not realizable: {seq}")
-        residual[x] = 0
-        for y in chosen:
-            edges[(x, y) if x < y else (y, x)] = 1
-            r = residual[y] - 1
-            residual[y] = r
-            buckets[r].append(y)
-    g = Multigraph(n, base=0, mult_map=edges)
+            for y in got:
+                add((x, y) if x < y else (y, x))
+        if need:
+            raise InfeasibleSequenceError(f"degree sequence not realizable: {list(seq)}")
+        buckets[level] += held
+
+
+def realize_degree_sequence(seq) -> Multigraph:
+    """Deterministic Havel–Hakimi realization of a degree sequence.
+
+    Returns a simple graph (all multiplicities <= 1) with exactly the
+    requested degrees, or raises InfeasibleSequenceError.  Ties are broken
+    by smallest label first (see ``_havel_hakimi``), so the graph is fixed
+    for a fixed input.
+    """
+    seq = list(seq)
+    if not erdos_gallai_feasible(seq):
+        raise InfeasibleSequenceError(f"degree sequence not realizable: {seq}")
+    g = Multigraph(len(seq), base=0, mult_map=dict.fromkeys(_havel_hakimi(seq), 1))
     if g.degrees() != seq:
         raise TriplepackError("realization degree check failed")
     return g

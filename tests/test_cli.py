@@ -305,8 +305,11 @@ def _malformed_inputs(tmp_path):
     # certificates outside n > k >= 4
     ({}, ["verify", "k2.json"]),
     ({}, ["verify", "k3.json"]),
+    # refused after the first row is known
+    ({}, ["classify", "--k", "2", "--n", "5"]),
 ], ids=["budget-env", "params-list", "graph-list", "decompose-list", "directory",
-        "construct-huge-n", "bounds-huge-n", "verify-huge-n", "verify-k2", "verify-k3"])
+        "construct-huge-n", "bounds-huge-n", "verify-huge-n", "verify-k2", "verify-k3",
+        "classify-k2"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, env, argv):
     _malformed_inputs(tmp_path)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -315,7 +318,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, env, argv):
         env={**os.environ, "PYTHONPATH": str(src), **env},
         cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == BAD_INPUT
+    assert proc.returncode == BAD_INPUT and proc.stdout == ""
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 

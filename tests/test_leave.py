@@ -26,7 +26,13 @@ from triplepack.leave import (
     construct_r_leave,
     verify_certificate,
 )
-from triplepack.multigraph import complete, overlay, realize_degree_sequence, scale
+from triplepack.multigraph import (
+    Multigraph,
+    complete,
+    overlay,
+    realize_degree_sequence,
+    scale,
+)
 from triplepack.params import CaseLabel, classify, johnson_bound, upper_bound
 
 
@@ -275,6 +281,17 @@ class TestVerifyCertificate:
         tampered = dataclasses.replace(item, blocks=(other,) + item.blocks[1:])
         assert cert.conditions().all_pass()
         assert not verify_certificate(dataclasses.replace(cert, evidence=(tampered,)))
+
+    def test_pair_above_n_minus_2_fails_the_cap(self):
+        # (8, 4), xi = 13, one pair at 12 > n - 2 = 6: edge total
+        # 2 * 12 = 8*7*6 - 24 * 13, degrees 12 = 0 (mod 6) and multiplicity
+        # 12 = n - 2 (mod 2) all hold; only the cap refuses it
+        cert = construct_q_leave(8, 4)
+        tampered = dataclasses.replace(cert, xi=13, graph=Multigraph(8, mult_map={(0, 1): 12}))
+        rep = tampered.conditions()
+        assert rep.edge_total and rep.degrees and rep.mults and not rep.mult_cap
+        assert tampered.sigma == 12
+        assert not verify_certificate(tampered)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_k_below_4_refused(self, k):

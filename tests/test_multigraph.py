@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from triplepack.errors import InfeasibleSequenceError, InvalidParameterError
 from triplepack.multigraph import (
     Multigraph,
+    _havel_hakimi,
     check_leave_conditions,
     complete,
     disjoint_union,
@@ -15,6 +16,93 @@ from triplepack.multigraph import (
     realize_degree_sequence,
     scale,
 )
+from triplepack.params import CaseLabel, classify
+
+
+def _reference_normalise(n, base, mult_map):
+    """The map rebuild that ``Multigraph.__post_init__`` ran on every input
+    before it copied canonical maps after one comparison per pair."""
+    if n < 0 or base < 0:
+        raise InvalidParameterError("vertex count and base must be non-negative")
+    clean = {}
+    for p, m in mult_map.items():
+        u, v = p
+        if u < v:
+            ok = 0 <= u and v < n
+        else:
+            ok = 0 <= v and u < n and u != v
+            p = (v, u)
+            if ok and p in mult_map:
+                raise InvalidParameterError(f"pair {p} listed in both orientations")
+        if not ok or m < 0:
+            if u == v:
+                raise InvalidParameterError("loops are not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidParameterError(f"vertex out of range in pair {(u, v)}")
+            raise InvalidParameterError("negative multiplicity")
+        if m != base:
+            clean[p] = m
+    return clean
+
+
+def _reference_havel_hakimi(seq):
+    """The per-vertex Havel–Hakimi loop that ``_havel_hakimi`` replaced:
+    a residual degree per vertex, each partner moved down on its own."""
+    residual = list(seq)
+    maxdeg = max(residual, default=0)
+    buckets = [[] for _ in range(maxdeg + 1)]
+    for v in range(len(seq) - 1, -1, -1):
+        buckets[residual[v]].append(v)
+    edges = {}
+    top = maxdeg
+    while True:
+        while top > 0 and not buckets[top]:
+            top -= 1
+        if top == 0:
+            return list(edges)
+        x = buckets[top].pop()
+        d = residual[x]
+        chosen = []
+        level = top
+        while len(chosen) < d and level > 0:
+            bucket = buckets[level]
+            need = d - len(chosen)
+            if need >= len(bucket):
+                chosen += reversed(bucket)
+                bucket.clear()
+            else:
+                chosen += reversed(bucket[-need:])
+                del bucket[-need:]
+            level -= 1
+        if len(chosen) < d:
+            raise InfeasibleSequenceError(f"degree sequence not realizable: {list(seq)}")
+        residual[x] = 0
+        for y in chosen:
+            edges[(x, y) if x < y else (y, x)] = 1
+            r = residual[y] - 1
+            residual[y] = r
+            buckets[r].append(y)
+
+
+@st.composite
+def graph_maps(draw):
+    """(n, base, map): canonical entries, pairs listed as (v, u), entries
+    at base, and at most one pair listed both ways and one bad entry (a
+    loop, a vertex out of range or a negative multiplicity), in any order."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    base = draw(st.integers(min_value=0, max_value=3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mults = draw(st.dictionaries(st.sampled_from(pairs), st.integers(0, 5))) if pairs else {}
+    items = []
+    for (u, v), m in mults.items():
+        items.append(((v, u) if draw(st.booleans()) else (u, v), m))
+    if mults and draw(st.integers(0, 3)) == 0:
+        (u, v), m = draw(st.sampled_from(items))
+        items.append(((v, u), m))
+    if draw(st.integers(0, 2)) == 0:
+        vertex = st.integers(min_value=-1, max_value=n)
+        items.append((draw(st.tuples(vertex, vertex)), draw(st.integers(-2, 4))))
+    return n, base, dict(draw(st.permutations(items)))
 
 
 class TestMultigraph:
@@ -91,6 +179,26 @@ class TestMultigraph:
         assert g.max_mult() == max((g.mult(u, v) for u, v in pairs), default=0)
         g.validate()
 
+    @settings(max_examples=300)
+    @given(graph_maps())
+    def test_normalisation_matches_the_reference_rebuild(self, case):
+        n, base, mults = case
+
+        def outcome(build):
+            try:
+                return "built", list(build(n, base, mults).items())
+            except InvalidParameterError as exc:
+                return "refused", str(exc)
+
+        got = outcome(lambda n, base, m: Multigraph(n, base=base, mult_map=m).mult_map)
+        assert got == outcome(_reference_normalise)
+
+    def test_canonical_map_is_copied(self):
+        mults = {(0, 1): 3, (1, 2): 0}
+        g = Multigraph(3, base=1, mult_map=mults)
+        mults[(0, 2)] = 5
+        assert g.mult_map == {(0, 1): 3, (1, 2): 0} and g.mult(0, 2) == 1
+
 
 class TestBuilders:
     def test_complete(self):
@@ -149,6 +257,48 @@ class TestDegreeSequences:
             assert g.max_mult() <= 1
         except InfeasibleSequenceError:
             assert not feasible
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=1, max_value=14), st.data())
+    def test_havel_hakimi_matches_the_reference_on_graphic_sequences(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        seq = [0] * n
+        for (u, v), kept in zip(pairs, keep):
+            seq[u] += kept
+            seq[v] += kept
+        assert _havel_hakimi(seq) == _reference_havel_hakimi(seq)
+
+    @given(st.lists(st.integers(min_value=0, max_value=12), max_size=13))
+    def test_havel_hakimi_matches_the_reference_on_any_sequence(self, seq):
+        def outcome(realize):
+            try:
+                return realize(seq)
+            except InfeasibleSequenceError as exc:
+                return str(exc)
+
+        assert outcome(_havel_hakimi) == outcome(_reference_havel_hakimi)
+
+    @pytest.mark.parametrize("k", range(5, 10))
+    def test_havel_hakimi_matches_the_reference_on_r_case_sequences(self, k):
+        # [gamma0, gamma^(n-1)] of every r-case residue class that realizes
+        # it (not the gamma = 0 excess), at its smallest graphic n > k
+        period = k * (k - 1) * (k - 2)
+        checked = 0
+        for c in range(period):
+            n = c if c > k else c + period
+            label, data = classify(n, k)
+            if label is not CaseLabel.R_NONZERO or (data.gamma == 0 and data.gamma0 > 0):
+                continue
+            while True:
+                data = classify(n, k)[1]
+                seq = [data.gamma0] + [data.gamma] * (n - 1)
+                if erdos_gallai_feasible(seq):
+                    break
+                n += period
+            assert _havel_hakimi(seq) == _reference_havel_hakimi(seq), (n, k)
+            checked += 1
+        assert checked > period // 2
 
     @given(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=6))
     def test_regular_sequences(self, n, d):
