@@ -54,7 +54,7 @@ status, inst, _ = search_simple_gdd(2, 3, 1)
 print(f"\nsimple (3,1)-GDD on groups 2^3: {status.value}")
 print(f"  groups: {inst.groups}")
 print(f"  blocks: {sorted(inst.blocks)}")
-print(f"  verified: {verify_gdd(inst, require_simple=True)}")
+print(f"  verified: {verify_gdd(inst)}")
 
 # Large sets: all transverse triples partition into disjoint simple
 # GDDs -- except the famous (1, 1, 7) case.
@@ -70,7 +70,7 @@ status, insts = search_disjoint_simple_gdds(2, 6, 1, count=2)
 print(f"\ntwo disjoint (3,1)-GDDs on 2^6: {status.value} ({len(insts)} found)")
 
 big = assemble_simple_gdd(2, 6, 5)
-print(f"assembled (3,5)-GDD on 2^6: {big is not None and verify_gdd(big, require_simple=True)}")
+print(f"assembled (3,5)-GDD on 2^6: {big is not None and verify_gdd(big)}")
 print(f"  ({len(big.blocks)} distinct blocks; cap on lambda here is g(u-2) = 8)")
 
 # The gadget multigraph view of the same object:

@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
     elif kind == "gdd":
         from .gdd import verify_gdd
 
-        ok = verify_gdd(jsonio.gdd_from_dict(data), require_simple=True)
+        ok = verify_gdd(jsonio.gdd_from_dict(data))
     elif kind == "packing":
         from .oracle import verify_packing
 

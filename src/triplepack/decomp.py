@@ -65,22 +65,30 @@ def dehon_conditions(n: int, lam: int) -> bool:
 
 
 def verify_decomposition(g: Multigraph, cliques) -> bool:
-    """True iff the cliques are pairwise distinct and cover every pair
-    exactly its multiplicity many times."""
+    """True iff the cliques are pairwise distinct vertex sets of g that
+    cover every pair exactly its multiplicity many times.
+
+    Covers are counted over the cliques, not over all pairs of g: every
+    covered pair must meet its multiplicity, and the covers must add up
+    to the edge count, so no uncovered pair is left with multiplicity.
+    """
+    n = g.n
     seen = set()
     cover = {}
     for c in cliques:
         key = tuple(sorted(c))
         if len(set(key)) != len(key) or key in seen:
             return False
+        if not all(type(x) is int and 0 <= x < n for x in key):
+            return False
         seen.add(key)
-        for a, b in combinations(key, 2):
-            cover[(a, b)] = cover.get((a, b), 0) + 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if cover.get((u, v), 0) != g.mult(u, v):
-                return False
-    return True
+        for p in combinations(key, 2):
+            cover[p] = cover.get(p, 0) + 1
+    mult, base = g.mult_map.get, g.base
+    return (
+        all(mult(p, base) == m for p, m in cover.items())
+        and sum(cover.values()) == g.edge_count()
+    )
 
 
 def _check_decomposition(g: Multigraph, cliques) -> None:

@@ -1,13 +1,16 @@
 """Number-theoretic utilities: CRT, prime-power factorization, and a
-constructive solver for systems of congruences plus avoidance
-constraints (x must miss given residues modulo further prime powers).
+solver for systems of congruences plus avoidance constraints (x must
+miss given residues modulo further prime powers).
+
+The solver fixes one CRT class r (mod N') and scans it upward; a
+counting lemma bounds the scan by N' * (forbidden count + 2).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .errors import InvalidParameterError, NonCoprimeModuliError, TriplepackError
 
@@ -47,12 +50,20 @@ def crt(pairs) -> int:
                 raise NonCoprimeModuliError(
                     f"moduli {moduli[i]} and {moduli[j]} are not coprime"
                 )
+    x, modulus = _crt_fold(pairs)
+    return x if x > 0 else modulus
+
+
+def _crt_fold(pairs) -> tuple:
+    """(x, N) with 0 <= x < N = product of the moduli and x = a (mod m)
+    for every (m, a) pair; the moduli must be positive and pairwise
+    coprime, which the caller has established."""
     x, modulus = 0, 1
     for m, a in pairs:
         # invariant: 0 <= x < modulus and x meets every congruence so far
         x += modulus * ((a - x) * pow(modulus, -1, m) % m)
         modulus *= m
-    return x if x > 0 else modulus
+    return x, modulus
 
 
 def _split_small(m: int):
@@ -270,56 +281,31 @@ class DiophInstance:
 
 
 def solve_avoidance(inst: DiophInstance) -> int:
-    """Constructive positive solution of a DiophInstance.
+    """The least positive x satisfying a DiophInstance within one CRT class.
 
-    Avoidance moduli below the window W = (total forbidden count) + 1
-    are converted to equalities by choosing an allowed residue; a CRT
-    pass gives x = r (mod N'); for the remaining large moduli some
-    multiplier h in 1..W avoids all lifted residues by counting.  The
-    result is then reduced to the least positive representative of the
-    class r (mod N') that still satisfies everything, and is at most
-    N' * (total forbidden count + 2).
+    Let F be the total number of forbidden residues and W = F + 1.  Each
+    avoidance modulus q < W becomes the congruence x = e (mod q) on its
+    least allowed residue e; with the equalities these fold by CRT to
+    x = r (mod N').  The moduli have pairwise distinct prime bases, so
+    they are coprime and need no check.  The answer is the first of r,
+    r + N', r + 2N', ... (r itself only when positive) that meets every
+    constraint.  Counting lemma: every remaining modulus q >= W is prime
+    to N', so among F + 1 consecutive members of the class each forbidden
+    residue rules out at most one; the scan therefore stops by
+    N' * (F + 2), and a TriplepackError past that bound means a
+    constraint was checked wrongly.
     """
     total_forbidden = sum(len(forb) for _, forb in inst.avoidances)
     window = total_forbidden + 1
-
     congruences = list(inst.equalities)
-    large = []
-    for q, forb in sorted(inst.avoidances):
+    for q, forb in inst.avoidances:
         if q < window:
-            allowed = next(e for e in range(q) if e not in forb)
-            congruences.append((q, allowed))
-        else:
-            large.append((q, forb))
-
-    if congruences:
-        n_prime = prod(m for m, _ in congruences)
-        r = crt(congruences) % n_prime
-    else:
-        n_prime, r = 1, 0
-
-    if large:
-        blocked = set()
-        for q, forb in large:
-            inv = pow(n_prime, -1, q)
-            for b in forb:
-                lifted = (b - r) * inv % q
-                if lifted <= window:
-                    blocked.add(lifted)
-        h = next(h for h in range(1, window + 1) if h not in blocked)
-        x = n_prime * h + r
-    else:
-        x = r if r > 0 else n_prime
-
-    if not inst.satisfied_by(x):
-        raise TriplepackError(f"constructive solution {x} failed verification")
-    # least positive representative of the class that still checks out
-    for candidate in range(x % n_prime or n_prime, x + 1, n_prime):
-        if inst.satisfied_by(candidate):
-            x = candidate
-            break
-    if x > n_prime * (total_forbidden + 2):
-        raise TriplepackError(
-            f"solution {x} exceeds the proven bound {n_prime} * {total_forbidden + 2}"
-        )
-    return x
+            congruences.append((q, next(e for e in range(q) if e not in forb)))
+    r, n_prime = _crt_fold(congruences)
+    bound = n_prime * (total_forbidden + 2)
+    for x in range(r or n_prime, bound + 1, n_prime):
+        if inst.satisfied_by(x):
+            return x
+    raise TriplepackError(
+        f"no solution up to the proven bound {n_prime} * {total_forbidden + 2}"
+    )

@@ -18,6 +18,7 @@ from .decomp import (
     dehon_conditions,
     find_triangle_decomposition,
     transverse_triples,
+    verify_decomposition,
 )
 from .errors import DisjointnessError, InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
@@ -58,36 +59,21 @@ class GddInstance:
         return sum(len(g) for g in self.groups)
 
 
-def verify_gdd(inst: GddInstance, require_simple: bool = True) -> bool:
-    """Exhaustive check of the GDD pair conditions.
+def verify_gdd(inst: GddInstance) -> bool:
+    """Exhaustive check of a simple GDD.
 
-    Every cross-group pair must lie in exactly lam blocks, no block may
-    contain two points of one group, and with ``require_simple`` no block
-    may repeat.
+    The groups must partition 0..v-1 into at least two, and every block
+    must have k points.  The blocks must then be a distinct clique
+    decomposition of lam times the complete multipartite graph on the
+    groups: every cross-group pair lies in exactly lam blocks, no block
+    contains two points of one group, and no block repeats.
     """
     pts = sorted(p for grp in inst.groups for p in grp)
-    if pts != list(range(inst.v)) or len(inst.groups) < 2:
+    if pts != list(range(inst.v)) or len(inst.groups) < 2 or inst.lam < 0:
         return False
-    group_of = {}
-    for i, grp in enumerate(inst.groups):
-        for p in grp:
-            group_of[p] = i
-    if require_simple and len(set(inst.blocks)) != len(inst.blocks):
+    if any(len(b) != inst.k for b in inst.blocks):
         return False
-    cover = {}
-    for b in inst.blocks:
-        if len(b) != inst.k or len(set(b)) != inst.k:
-            return False
-        for x, y in combinations(sorted(b), 2):
-            if group_of[x] == group_of[y]:
-                return False
-            cover[(x, y)] = cover.get((x, y), 0) + 1
-    for x in range(inst.v):
-        for y in range(x + 1, inst.v):
-            expect = 0 if group_of[x] == group_of[y] else inst.lam
-            if cover.get((x, y), 0) != expect:
-                return False
-    return True
+    return verify_decomposition(_multipartite(inst.groups, inst.lam), inst.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +126,13 @@ def simple_gdd_exists(g: int, u: int, lam: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _multipartite(groups, lam: int) -> Multigraph:
+    """lam times the complete multipartite graph whose parts are the
+    groups, which partition 0..v-1."""
+    within = {p: 0 for grp in groups for p in combinations(sorted(grp), 2)}
+    return Multigraph(sum(map(len, groups)), base=lam, mult_map=within)
+
+
 def gadget_multigraph(g: int, u: int, edge_mult: int) -> Multigraph:
     """Complete u-partite multigraph, parts of size g, every cross pair at
     multiplicity edge_mult.  Its distinct triangle decompositions are
@@ -148,13 +141,7 @@ def gadget_multigraph(g: int, u: int, edge_mult: int) -> Multigraph:
         raise InvalidParameterError("need g, u, edge_mult >= 1")
     if u == 1:
         return Multigraph(g)
-    within = {
-        (i * g + a, i * g + b): 0
-        for i in range(u)
-        for a in range(g)
-        for b in range(a + 1, g)
-    }
-    out = Multigraph(g * u, base=edge_mult, mult_map=within)
+    out = _multipartite(_contiguous_groups(g, u), edge_mult)
     out.validate()
     return out
 
@@ -182,7 +169,7 @@ def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
     if res.status is not SearchStatus.FOUND:
         return res.status, None, res.nodes
     inst = GddInstance(groups=_contiguous_groups(g, u), blocks=res.cliques, lam=lam)
-    if not verify_gdd(inst, require_simple=True):
+    if not verify_gdd(inst):
         raise TriplepackError("searched GDD failed verification")
     return SearchStatus.FOUND, inst, res.nodes
 
@@ -248,7 +235,7 @@ def assemble_simple_gdd(
                 used = set(blocks)
                 blocks = tuple(t for t in transverse_triples(groups) if t not in used)
         inst = GddInstance(groups=groups, blocks=blocks, lam=lam)
-        if verify_gdd(inst, require_simple=True):
+        if verify_gdd(inst):
             return inst
     status, inst, _ = search_simple_gdd(g, u, lam, budget=budget)
     return inst if status is SearchStatus.FOUND else None

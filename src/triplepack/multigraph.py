@@ -28,6 +28,23 @@ def _bad_entry(u: int, v: int, n: int) -> str:
     return "negative multiplicity"
 
 
+def _canonical_degrees(n: int, base: int, mult_map: dict):
+    """The degrees of the graph when its map is canonical (every pair
+    oriented u < v with labels in range, every multiplicity non-negative
+    and != base), else None."""
+    deg = [base * (n - 1)] * n
+    try:
+        for (u, v), m in mult_map.items():
+            if not (0 <= u < v < n and 0 <= m != base):
+                return None
+            m -= base
+            deg[u] += m  # a label that is not an int fails here
+            deg[v] += m
+    except (TypeError, ValueError):
+        return None
+    return deg
+
+
 @dataclass(frozen=True)
 class Multigraph:
     n: int
@@ -38,21 +55,32 @@ class Multigraph:
         n, base = self.n, self.base
         if n < 0 or base < 0:
             raise InvalidParameterError("vertex count and base must be non-negative")
-        mult_map = self.mult_map
-        # a canonical map (every pair oriented u < v and in range, every
-        # multiplicity non-negative and != base), which every builder and
-        # the JSON reader produce, is copied after one comparison per pair
-        try:
-            for (u, v), m in mult_map.items():
-                if not (0 <= u < v < n and 0 <= m != base):
-                    break
-            else:
-                object.__setattr__(self, "mult_map", dict(mult_map))
-                return
-        except (TypeError, ValueError):
-            pass  # the rebuild below raises its own error for this entry
-        # rebuild: orient pairs u < v, drop entries equal to base, reject
-        # loops / out-of-range vertices / negatives
+        # a canonical map, which every builder and the JSON reader
+        # produce, is copied after one pass that also counts the degrees
+        deg = _canonical_degrees(n, base, self.mult_map)
+        if deg is None:
+            mult_map = self._rebuild()
+            deg = _canonical_degrees(n, base, mult_map)
+            if deg is None:
+                raise InvalidParameterError("vertex labels must be integers")
+        else:
+            mult_map = dict(self.mult_map)
+        # a float multiplicity makes the edge count a float; a bool adds
+        # up as an int, so the distinct multiplicities are type-checked
+        distinct = set(mult_map.values())
+        edges = base * (n * (n - 1) // 2 - len(mult_map)) + sum(mult_map.values())
+        if type(edges) is not int or any(type(m) is not int for m in distinct):
+            raise InvalidParameterError("multiplicities must be integers")
+        top = base if n >= 2 and len(mult_map) < n * (n - 1) // 2 else 0
+        object.__setattr__(self, "mult_map", mult_map)
+        # (degrees, edge count, max multiplicity): the instance is frozen,
+        # so they cannot go stale
+        object.__setattr__(self, "_inv", (deg, edges, max(top, max(distinct, default=0))))
+
+    def _rebuild(self) -> dict:
+        """The map with pairs oriented u < v and entries equal to base
+        dropped; refuses loops, out-of-range vertices and negatives."""
+        n, base, mult_map = self.n, self.base, self.mult_map
         clean = {}
         for p, m in mult_map.items():
             u, v = p
@@ -67,25 +95,7 @@ class Multigraph:
                 raise InvalidParameterError(_bad_entry(u, v, n))
             if m != base:
                 clean[p] = m
-        object.__setattr__(self, "mult_map", clean)
-
-    def _invariants(self) -> tuple:
-        """(degrees, edge count, max multiplicity) from one pass over the
-        exceptional pairs, computed on first use and kept: the instance is
-        frozen, so they cannot go stale."""
-        inv = self.__dict__.get("_inv")
-        if inv is None:
-            n, base, mults = self.n, self.base, self.mult_map
-            deg = [base * (n - 1)] * n
-            for (u, v), m in mults.items():
-                m -= base
-                deg[u] += m
-                deg[v] += m
-            edges = base * (n * (n - 1) // 2 - len(mults)) + sum(mults.values())
-            top = base if n >= 2 and len(mults) < n * (n - 1) // 2 else 0
-            inv = (deg, edges, max(top, max(mults.values(), default=0)))
-            object.__setattr__(self, "_inv", inv)
-        return inv
+        return clean
 
     # -- queries ---------------------------------------------------------
 
@@ -96,16 +106,16 @@ class Multigraph:
 
     def degrees(self) -> list[int]:
         """Degree of every vertex, as a fresh list the caller may change."""
-        return list(self._invariants()[0])
+        return list(self._inv[0])
 
     def degree(self, x: int) -> int:
         if not 0 <= x < self.n:
             raise InvalidParameterError(f"vertex {x} out of range")
-        return self._invariants()[0][x]
+        return self._inv[0][x]
 
     def edge_count(self) -> int:
         """Total edge multiplicity |E(G)| (parallel edges counted)."""
-        return self._invariants()[1]
+        return self._inv[1]
 
     def support_pairs(self):
         """Iterate (u, v, mult) over pairs with multiplicity >= 1."""
@@ -121,14 +131,14 @@ class Multigraph:
                     yield u, v, m
 
     def active_vertices(self) -> list[int]:
-        return [x for x, d in enumerate(self._invariants()[0]) if d > 0]
+        return [x for x, d in enumerate(self._inv[0]) if d > 0]
 
     def max_mult(self) -> int:
-        return self._invariants()[2]
+        return self._inv[2]
 
     def validate(self) -> None:
         """Check the degree identity sum(deg) = 2|E|."""
-        deg, edges, _top = self._invariants()
+        deg, edges, _top = self._inv
         if sum(deg) != 2 * edges:
             raise TriplepackError("degree sum differs from twice the edge count")
 
@@ -342,7 +352,7 @@ def check_leave_conditions(
     """Report which leave-graph conditions hold for (g, n, k, xi, sigma)."""
     if g.n != n:
         raise InvalidParameterError(f"graph order {g.n} != n = {n}")
-    deg, edges, _top = g._invariants()
+    deg, edges, _top = g._inv
     edge_total = 2 * edges == n * (n - 1) * (n - 2) - k * (k - 1) * (k - 2) * xi
     # a leave has few distinct degrees and multiplicities: test each once
     target_deg = (n - 1) * (n - 2) % ((k - 1) * (k - 2))

@@ -57,6 +57,46 @@ class TestVerify:
     def test_rejects_wrong_cover(self):
         assert not verify_decomposition(complete(4, 1), ((0, 1, 2),))
 
+    @pytest.mark.parametrize("phantom", [99, -1, 4, 2.5, True])
+    def test_rejects_vertices_the_graph_does_not_have(self, phantom):
+        # four edges, and the covers of the real pairs match them; the
+        # phantom pairs used to go unnoticed
+        g = Multigraph(4, mult_map={(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 3): 1})
+        assert verify_decomposition(g, [(0, 1, 2), (2, 3)])
+        assert not verify_decomposition(g, [(0, 1, 2), (2, 3, phantom)])
+
+    def test_rejects_a_cover_of_phantom_pairs_alone(self):
+        # three pairs of non-vertices would match the edge count of K_3
+        assert not verify_decomposition(complete(3, 1), [(0.5, 1.5, 2.5)])
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda p: p[0] < p[1]),
+            st.integers(0, 2),
+            max_size=10,
+        ),
+        st.lists(st.lists(st.integers(-1, 7), min_size=2, max_size=4), max_size=6),
+    )
+    def test_matches_a_count_over_every_pair(self, n, raw, cliques):
+        g = Multigraph(n, mult_map={p: m for p, m in raw.items() if p[1] < n})
+        keys = [tuple(sorted(c)) for c in cliques]
+        cover = {}
+        for key in keys:
+            for p in combinations(key, 2):
+                cover[p] = cover.get(p, 0) + 1
+        expected = (
+            len(set(keys)) == len(keys)
+            and all(len(set(k)) == len(k) and 0 <= k[0] and k[-1] < n for k in keys)
+            and all(
+                cover.get((u, v), 0) == g.mult(u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+            )
+        )
+        assert verify_decomposition(g, cliques) == expected
+
 
 class TestEngine:
     def test_empty_graph(self):

@@ -150,7 +150,50 @@ class TestInstanceValidation:
             DiophInstance(equalities=(), avoidances=((3, (1,)),))
 
 
+# prime powers by prime base; an avoidance modulus must be at least 4
+PRIME_POWERS = {2: (2, 4, 8, 16, 32), 3: (3, 9, 27), 5: (5, 25), 7: (7, 49),
+                11: (11,), 13: (13,), 17: (17,), 19: (19,), 23: (23,)}
+
+
+@st.composite
+def instances(draw):
+    """Equalities and avoidances on prime powers with distinct bases."""
+    bases = draw(st.lists(st.sampled_from(sorted(PRIME_POWERS)), unique=True,
+                          min_size=1, max_size=5))
+    eqs, avs = [], []
+    for base in bases:
+        m = draw(st.sampled_from(PRIME_POWERS[base]))
+        if m >= 4 and draw(st.booleans()):
+            forb = draw(st.lists(st.integers(0, m - 1), unique=True,
+                                 min_size=1, max_size=min(m - 1, 5)))
+            avs.append((m, tuple(forb)))
+        else:
+            eqs.append((m, draw(st.integers(0, m - 1))))
+    return DiophInstance(equalities=tuple(eqs), avoidances=tuple(avs))
+
+
 class TestSolver:
+    @settings(max_examples=300)
+    @given(instances())
+    def test_least_solution_of_the_class_within_the_bound(self, inst):
+        # the class: every equality, and each avoidance modulus below the
+        # window F + 1 pinned to its least allowed residue
+        forbidden = sum(len(f) for _, f in inst.avoidances)
+        pinned = [(q, next(e for e in range(q) if e not in f))
+                  for q, f in inst.avoidances if q < forbidden + 1]
+        n_prime = 1
+        for m, _ in list(inst.equalities) + pinned:
+            n_prime *= m
+        bound = n_prime * (forbidden + 2)
+        x = solve_avoidance(inst)
+        assert inst.satisfied_by(x) and 1 <= x <= bound
+        if bound <= 10**5:
+            first = next(
+                y for y in range(1, bound + 1)
+                if inst.satisfied_by(y) and all(y % q == e for q, e in pinned)
+            )
+            assert x == first
+
     def test_equalities_only(self):
         inst = DiophInstance(equalities=((4, 3), (9, 4)), avoidances=())
         x = solve_avoidance(inst)

@@ -1,5 +1,6 @@
 """Group divisible designs: predicates, search, assembly, juxtaposition."""
 
+import json
 import os
 import subprocess
 import sys
@@ -176,6 +177,28 @@ class TestVerifyGdd:
             lam=1,
         )
         assert not verify_gdd(inst)
+
+    def test_rejects_point_outside_the_groups(self):
+        status, good, _ = search_simple_gdd(2, 3, 1)
+        assert status is SearchStatus.FOUND and verify_gdd(good)
+        a, b, _c = good.blocks[-1]
+        for phantom in (6, -1):
+            bad = GddInstance(
+                groups=good.groups, blocks=good.blocks[:-1] + ((a, b, phantom),), lam=1
+            )
+            assert not verify_gdd(bad)
+
+    def test_cli_reads_a_point_outside_the_groups_as_failed(self, tmp_path, capsys):
+        from triplepack.cli import FAIL, main
+
+        path = tmp_path / "gdd.json"
+        path.write_text(json.dumps({
+            "groups": [[0, 1], [2, 3], [4, 5]],
+            "lambda": 1,
+            "blocks": [[0, 2, 4], [0, 3, 5], [1, 2, 5], [1, 3, 9]],
+        }))
+        code = main(["verify", str(path)])
+        assert code == FAIL and capsys.readouterr().out.strip() == "gdd: FAILED"
 
     def test_rejects_repeated_block(self):
         status, good, _ = search_simple_gdd(2, 3, 2)

@@ -193,6 +193,19 @@ class TestMultigraph:
         got = outcome(lambda n, base, m: Multigraph(n, base=base, mult_map=m).mult_map)
         assert got == outcome(_reference_normalise)
 
+    @pytest.mark.parametrize("mults", [
+        {(0.5, 1.5): 2},
+        {(1.5, 0.5): 2},
+        {(0, 1): 2.5},
+        {(1, 0): 2.5},
+        {(0, 1): True},
+        {(0, 1): 2, (0, 2): 2.0},
+    ], ids=["float-labels", "float-labels-reversed", "float-mult",
+            "float-mult-reversed", "bool-mult", "float-equal-to-an-int"])
+    def test_refuses_non_integer_labels_and_multiplicities(self, mults):
+        with pytest.raises(InvalidParameterError):
+            Multigraph(3, mult_map=mults)
+
     def test_canonical_map_is_copied(self):
         mults = {(0, 1): 3, (1, 2): 0}
         g = Multigraph(3, base=1, mult_map=mults)
