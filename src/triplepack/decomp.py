@@ -32,9 +32,11 @@ clique is applied in place.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
@@ -68,26 +70,28 @@ def verify_decomposition(g: Multigraph, cliques) -> bool:
     """True iff the cliques are pairwise distinct vertex sets of g that
     cover every pair exactly its multiplicity many times.
 
-    Covers are counted over the cliques, not over all pairs of g: every
-    covered pair must meet its multiplicity, and the covers must add up
-    to the edge count, so no uncovered pair is left with multiplicity.
+    One pass over each clique's sorted points checks them (strictly
+    increasing ints in 0..n-1).  Covers are counted over the cliques: every
+    covered pair must meet its multiplicity and the covers must add up to
+    the edge count, so no uncovered pair is left with multiplicity.
     """
     n = g.n
     seen = set()
-    cover = {}
     for c in cliques:
         key = tuple(sorted(c))
-        if len(set(key)) != len(key) or key in seen:
-            return False
-        if not all(type(x) is int and 0 <= x < n for x in key):
+        low = -1
+        for x in key:
+            if type(x) is not int or x <= low:
+                return False
+            low = x
+        if low >= n or key in seen:
             return False
         seen.add(key)
-        for p in combinations(key, 2):
-            cover[p] = cover.get(p, 0) + 1
+    cover = Counter(chain.from_iterable(map(combinations, seen, repeat(2))))
     mult, base = g.mult_map.get, g.base
     return (
         all(mult(p, base) == m for p, m in cover.items())
-        and sum(cover.values()) == g.edge_count()
+        and cover.total() == g.edge_count()
     )
 
 
@@ -112,13 +116,14 @@ def _triangle_search(g: Multigraph, forbidden, budget: int | None):
     """
     active = g.active_vertices()
     size = len(active)
+    mult, base = g.mult_map.get, g.base
     bits = [1 << i for i in range(size)]
     rem = [0] * (size * size)  # remaining multiplicity, both orientations
     adj = [0] * size  # adj[a]: the b with rem[a*size+b] >= 1
     pairs = []  # (a, b, a*size+b) for a < b, in scan order
     for a, u in enumerate(active):
         for b in range(a + 1, size):
-            m = g.mult(u, active[b])
+            m = mult((u, active[b]), base)
             ab = a * size + b
             pairs.append((a, b, ab))
             if m:
@@ -228,10 +233,11 @@ def _uniform_multipartite_shape(g: Multigraph):
     if not active:
         return None
     lam = None
+    mult, base = g.mult_map.get, g.base
     non_edge = {x: set() for x in active}
     for i, u in enumerate(active):
         for v in active[i + 1 :]:
-            m = g.mult(u, v)
+            m = mult((u, v), base)
             if m == 0:
                 non_edge[u].add(v)
                 non_edge[v].add(u)
@@ -310,7 +316,7 @@ def find_triangle_decomposition(
                         (u, v): cap - lam
                         for i, u in enumerate(active)
                         for v in active[i + 1 :]
-                        if g.mult(u, v) > 0
+                        if g.mult_map.get((u, v), g.base)
                     },
                 )
                 res = find_triangle_decomposition(mirror, budget=budget)
@@ -334,8 +340,7 @@ def find_triangle_decomposition(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StallEvent:
+class StallEvent(NamedTuple):
     vertex: int
     neighbor: int
     partial: tuple
@@ -375,6 +380,9 @@ def clique_reduction(
     (adjacent to everything picked so far, not repeating a chosen clique)
     with minimal appearance count, ties to the smallest label.  When no
     valid vertex exists the pair is abandoned and a stall is recorded.
+    Gamma is symmetric, so a stalled pair is recorded once from each end,
+    as (x, y) and as (y, x), if it stalls again from the second (for q = 3
+    it always does: candidates only shrink).
 
     The state is a bitset kernel: ``rem``, a flat n*n list of remaining
     multiplicities; ``adj[x]``, an integer whose bit y is set while pair
@@ -399,27 +407,32 @@ def clique_reduction(
     rem = [0] * (n * n)  # remaining multiplicity, both orientations
     adj = [0] * n  # adj[x]: the y with rem[x*n+y] >= 1
     support = []  # (u, v) with u < v, in label order
+    high = [[] for _ in range(n)]  # in label order, as support is
     for u, v, m in g.support_pairs():
         support.append((u, v))
         rem[u * n + v] = rem[v * n + u] = m
         adj[u] |= bits[v]
         adj[v] |= bits[u]
-    gamma = {
-        x: tuple(y for y, m in enumerate(rem[x * n : x * n + n]) if m > lam and y != x)
-        for x in range(n)
-    }
+        if m > lam:
+            high[u].append(v)
+            high[v].append(u)
+    gamma = {x: tuple(ys) for x, ys in enumerate(high)}
     appearance = [0] * n
     chosen = []
     chosen_set = set()
     stalls = []
 
     for xi in order:
+        row = xi * n
         for x in gamma[xi]:
-            while rem[xi * n + x]:
-                members = [xi, x]
+            while rem[row + x]:
                 # a vertex is never its own neighbour, so the AND over the
                 # members already leaves out the members themselves
                 cand = adj[xi] & adj[x]
+                if not cand:  # most stalls end here
+                    stalls.append((xi, x, (xi, x)))
+                    break
+                members = [xi, x]
                 for j in range(1, q - 1):
                     last = j == q - 2
                     # the first strict minimum of appearance in label
@@ -442,7 +455,7 @@ def clique_reduction(
                     members.append(best)
                     cand &= adj[best]
                 if len(members) < q:
-                    stalls.append(StallEvent(xi, x, tuple(members)))
+                    stalls.append((xi, x, tuple(members)))
                     break
                 clique = tuple(sorted(members))
                 chosen.append(clique)
@@ -471,7 +484,7 @@ def clique_reduction(
         cliques=tuple(chosen),
         residual=residual,
         appearance=dict(enumerate(appearance)),
-        stalls=tuple(stalls),
+        stalls=tuple(map(StallEvent._make, stalls)),
     )
 
 

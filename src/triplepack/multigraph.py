@@ -53,23 +53,33 @@ class Multigraph:
 
     def __post_init__(self):
         n, base = self.n, self.base
+        if type(n) is not int or type(base) is not int:
+            raise InvalidParameterError("vertex count and base must be integers")
         if n < 0 or base < 0:
             raise InvalidParameterError("vertex count and base must be non-negative")
         # a canonical map, which every builder and the JSON reader
         # produce, is copied after one pass that also counts the degrees
         deg = _canonical_degrees(n, base, self.mult_map)
         if deg is None:
-            mult_map = self._rebuild()
+            try:
+                mult_map = self._rebuild()
+            except InvalidParameterError:
+                raise
+            except (TypeError, ValueError):  # not a pair, or not comparable
+                raise InvalidParameterError("pairs and multiplicities must be integers") from None
             deg = _canonical_degrees(n, base, mult_map)
             if deg is None:
                 raise InvalidParameterError("vertex labels must be integers")
         else:
             mult_map = dict(self.mult_map)
         # a float multiplicity makes the edge count a float; a bool adds
-        # up as an int, so the distinct multiplicities are type-checked
+        # up as an int, so the distinct multiplicities are type-checked.
+        # The set keeps only the first of 1 and True (0 and False): when
+        # either value is there, every multiplicity's type is scanned
         distinct = set(mult_map.values())
         edges = base * (n * (n - 1) // 2 - len(mult_map)) + sum(mult_map.values())
-        if type(edges) is not int or any(type(m) is not int for m in distinct):
+        bools = (0 in distinct or 1 in distinct) and bool in set(map(type, mult_map.values()))
+        if type(edges) is not int or bools or any(type(m) is not int for m in distinct):
             raise InvalidParameterError("multiplicities must be integers")
         top = base if n >= 2 and len(mult_map) < n * (n - 1) // 2 else 0
         object.__setattr__(self, "mult_map", mult_map)

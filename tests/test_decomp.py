@@ -1,5 +1,7 @@
 """Triangle decomposition engine, Dehon predicate, clique reduction."""
 
+import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -23,7 +25,7 @@ from triplepack.decomp import (
     verify_decomposition,
 )
 from triplepack.errors import InvalidParameterError
-from triplepack.gdd import gadget_multigraph
+from triplepack.gdd import gadget_multigraph, search_simple_gdd
 from triplepack.multigraph import Multigraph, complete
 
 
@@ -491,6 +493,132 @@ class TestReductionKernelMatchesReference:
         )
         assert trace.appearance == {0: 6, 1: 6, 2: 4, 3: 5, 4: 6, 5: 5, 6: 4}
         assert trace.residual.mult_map == {(2, 5): 2, (2, 6): 2, (3, 6): 2}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_trace_equals_the_reference_field_by_field(self, data):
+        # larger orders than above, q = 4 as well as 3, several (lam, lam')
+        # pairs and vertex orders; stalls compared as plain records too
+        n = data.draw(st.integers(3, 16))
+        q = data.draw(st.sampled_from((3, 4)))
+        lam_prime = data.draw(st.integers(1, 4))
+        lam = data.draw(st.integers(0, lam_prime))
+        base = data.draw(st.sampled_from((0, 1)))
+        pairs = list(combinations(range(n), 2))
+        mults = data.draw(st.lists(st.integers(0, lam_prime), min_size=len(pairs), max_size=len(pairs)))
+        order = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+        g = Multigraph(n, base=base, mult_map=dict(zip(pairs, mults)))
+        got = clique_reduction(g, q, lam, lam_prime, vertex_order=order)
+        want = _reference_reduction(g, q, lam, lam_prime, vertex_order=order)
+        for field in dataclasses.fields(ReductionTrace):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert all(type(s) is StallEvent for s in got.stalls)
+        assert [(s.vertex, s.neighbor, s.partial) for s in got.stalls] == [
+            (s.vertex, s.neighbor, s.partial) for s in want.stalls
+        ]
+        assert all(list(ys) == sorted(ys) for ys in got.gamma.values())
+
+
+# ---------------------------------------------------------------------------
+# verification and the grid searches give the answers they gave before
+# ---------------------------------------------------------------------------
+
+
+def _reference_verify(g, cliques):
+    """``verify_decomposition`` as it was before it checked each clique
+    in one pass and counted the covers with a Counter, kept here as the
+    reference whose verdicts the current one must repeat."""
+    n = g.n
+    seen = set()
+    cover = {}
+    for c in cliques:
+        key = tuple(sorted(c))
+        if len(set(key)) != len(key) or key in seen:
+            return False
+        if not all(type(x) is int and 0 <= x < n for x in key):
+            return False
+        seen.add(key)
+        for p in combinations(key, 2):
+            cover[p] = cover.get(p, 0) + 1
+    mult, base = g.mult_map.get, g.base
+    return (
+        all(mult(p, base) == m for p, m in cover.items())
+        and sum(cover.values()) == g.edge_count()
+    )
+
+
+def _tampered(n, blocks):
+    """The blocks as found, then each tamper class of the corpus."""
+    first, rest = blocks[0], list(blocks[1:])
+    a, b, c = first
+    spare = next(x for x in range(n) if x not in first) if n > 3 else None
+    yield "found", list(blocks)
+    yield "dropped", rest
+    yield "repeated", [first, *rest, first]
+    yield "reversed", [first[::-1], *rest]
+    yield "moved", [(a, b, (c + 1) % n), *rest]
+    for bad in (-1, n, True, 2.5):
+        yield f"point {bad!r}", [(a, b, bad), *rest]
+    yield "point twice", [(a, b, b), *rest]
+    yield "pair", [(a, b), *rest]
+    if spare is not None:
+        yield "4-clique", [(a, b, c, spare), *rest]
+        yield "4-clique for two", [(a, b, c, spare), *rest[1:]]
+
+
+def _found_decompositions():
+    """(graph, blocks) of every FOUND answer on the lam*K_n grid (n 3..9,
+    lam 1..8) and on the gadget grid (gu <= 10, lam 1..8)."""
+    for n in range(3, 10):
+        for lam in range(1, 9):
+            res = find_triangle_decomposition(complete(n, lam))
+            if res.status is SearchStatus.FOUND:
+                yield complete(n, lam), res.cliques
+    for u in range(3, 11):
+        for size in range(1, 11):
+            for lam in range(1, 9):
+                if size * u <= 10:
+                    _status, inst, _nodes = search_simple_gdd(size, u, lam)
+                    if inst is not None:
+                        yield gadget_multigraph(size, u, lam), inst.blocks
+
+
+class TestParityWithTheParent:
+    def test_verdicts_match_the_reference_on_a_tamper_corpus(self):
+        verdicts = {}
+        for g, blocks in _found_decompositions():
+            for kind, cliques in _tampered(g.n, blocks):
+                got = verify_decomposition(g, cliques)
+                assert got == _reference_verify(g, cliques), (g.n, g.base, kind)
+                verdicts.setdefault(kind, set()).add(got)
+        # the corpus reaches both verdicts where a tamper can be harmless
+        assert verdicts["found"] == verdicts["reversed"] == {True}
+        for kind in ("dropped", "repeated", "point -1", "point True", "point 2.5", "pair"):
+            assert verdicts[kind] == {False}, kind
+
+    def test_grid_searches_pinned(self):
+        # sha256 of the repr of every (status, cliques, nodes) on both
+        # grids, as the searches gave them before their set-up read the
+        # map directly
+        kn, gd = [], []
+        for n in range(3, 10):
+            for lam in range(1, 9):
+                r = find_triangle_decomposition(complete(n, lam))
+                kn.append((n, lam, r.status.value, r.cliques, r.nodes))
+        for u in range(3, 11):
+            for size in range(1, 11):
+                if size * u > 10:
+                    continue
+                for lam in range(1, 9):
+                    status, inst, nodes = search_simple_gdd(size, u, lam)
+                    gd.append((size, u, lam, status.value, inst and inst.blocks, nodes))
+        assert sum(r[4] for r in kn) == 34960 and sum(r[5] for r in gd) == 35892
+        assert hashlib.sha256(repr(kn).encode()).hexdigest() == (
+            "49c75e98da61d4740f83fb5458d098957465111ef372e21812648ade57d6e7eb"
+        )
+        assert hashlib.sha256(repr(gd).encode()).hexdigest() == (
+            "5be0542153c086d879b67a978d9f39df8bf2c634d87f9e319d129e2362066b57"
+        )
 
 
 @pytest.mark.parametrize("parts", [

@@ -1,8 +1,11 @@
 """Multigraph carrier type, degree-sequence realization, leave conditions."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triplepack import jsonio
 from triplepack.errors import InfeasibleSequenceError, InvalidParameterError
 from triplepack.multigraph import (
     Multigraph,
@@ -205,6 +208,68 @@ class TestMultigraph:
     def test_refuses_non_integer_labels_and_multiplicities(self, mults):
         with pytest.raises(InvalidParameterError):
             Multigraph(3, mult_map=mults)
+
+    @pytest.mark.parametrize("base, mults", [
+        (0, {(0, 1): 1, (0, 2): True}),
+        (0, {(1, 0): 1, (0, 2): True}),
+        (0, {(0, 1): True, (0, 2): 1}),
+        (1, {(0, 1): 0, (0, 2): False}),
+        (1, {(1, 0): 0, (0, 2): False}),
+        (2, {(0, 1): False, (1, 2): 3}),
+    ], ids=["int-first", "int-first-rebuilt", "bool-first", "false-after-zero",
+            "false-after-zero-rebuilt", "false-alone"])
+    def test_refuses_a_bool_behind_an_int_of_the_same_value(self, base, mults):
+        # a set of the distinct multiplicities keeps only the first of 1
+        # and True, so the bool is found by a scan of the types; a reversed
+        # pair sends the map through the rebuild first
+        with pytest.raises(InvalidParameterError, match="integers"):
+            Multigraph(3, base=base, mult_map=mults)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 3, "mult_map": {(1, 0): "x"}},
+        {"n": 3, "mult_map": {(0, 1): "x"}},
+        {"n": 3, "mult_map": {(1, "a"): 1}},
+        {"n": 3, "mult_map": {(0, 1, 2): 1}},
+        {"n": 3, "mult_map": {5: 1}},
+        {"n": 3.0},
+        {"n": True},
+        {"n": "3"},
+        {"n": 3, "base": 1.5},
+        {"n": 3, "base": 1.0},
+        {"n": 3, "base": True},
+    ], ids=["str-mult-rebuilt", "str-mult", "str-label", "triple-key", "int-key",
+            "float-n", "bool-n", "str-n", "float-base", "float-base-equal-to-an-int",
+            "bool-base"])
+    def test_refuses_non_integer_input_with_its_own_error(self, kwargs):
+        # these used to escape as TypeError or ValueError
+        with pytest.raises(InvalidParameterError):
+            Multigraph(**kwargs)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 2),
+        st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1]),
+            st.one_of(st.integers(0, 3), st.booleans()),
+            max_size=10,
+        ),
+    )
+    def test_every_graph_that_builds_round_trips_through_json(self, n, base, raw):
+        # either normalisation path (a reversed pair takes the rebuild);
+        # an entry at base is dropped, a bool kept is refused, and a graph
+        # that builds must come back equal from its own JSON
+        mults = {p: m for p, m in raw.items() if max(p) < n and (p[1], p[0]) not in raw}
+        kept_bool = any(type(m) is bool and m != base for m in mults.values())
+        try:
+            g = Multigraph(n, base=base, mult_map=mults)
+        except InvalidParameterError:
+            assert kept_bool
+            return
+        assert not kept_bool
+        assert all(type(m) is int for m in g.mult_map.values())
+        text = jsonio.dumps(jsonio.multigraph_to_dict(g))
+        assert jsonio.multigraph_from_dict(json.loads(text)) == g
 
     def test_canonical_map_is_copied(self):
         mults = {(0, 1): 3, (1, 2): 0}
