@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import jsonio
-from .errors import TriplepackError
+from .errors import InvalidParameterError, TriplepackError
 
 OK, FAIL, BAD_INPUT, BUDGET = 0, 1, 2, 3
 
@@ -106,6 +106,8 @@ def _cmd_construct(args) -> int:
 
     try:
         _xi, cert = achieved_lower_bound(args.n, args.k)
+    except InvalidParameterError:  # outside n > k >= 4: bad input, not a refusal
+        raise
     except TriplepackError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return FAIL
@@ -116,7 +118,11 @@ def _cmd_construct(args) -> int:
 def _cmd_decompose(args) -> int:
     from .decomp import SearchStatus, find_triangle_decomposition
 
-    g = jsonio.multigraph_from_dict(_load(args.input))
+    data = _load(args.input)
+    kind = jsonio.identify(data)
+    if kind != "multigraph":
+        raise InvalidParameterError(f"expected a multigraph, got a {kind}")
+    g = jsonio.multigraph_from_dict(data)
     res = find_triangle_decomposition(g, budget=args.budget)
     payload = {"status": res.status.value}
     if res.status is SearchStatus.FOUND:

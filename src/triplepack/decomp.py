@@ -32,11 +32,9 @@ clique is applied in place.
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, combinations, repeat
 from math import comb
-from typing import NamedTuple
 
 from .errors import InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
@@ -51,11 +49,11 @@ class SearchStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    status: SearchStatus
-    cliques: tuple | None
-    nodes: int
+class DecompositionResult(namedtuple("DecompositionResult", "status cliques nodes")):
+    """A SearchStatus, the cliques (a tuple, or None unless FOUND) and the
+    nodes searched."""
+
+    __slots__ = ()
 
 
 def dehon_conditions(n: int, lam: int) -> bool:
@@ -71,14 +69,19 @@ def verify_decomposition(g: Multigraph, cliques) -> bool:
     cover every pair exactly its multiplicity many times.
 
     One pass over each clique's sorted points checks them (strictly
-    increasing ints in 0..n-1).  Covers are counted over the cliques: every
-    covered pair must meet its multiplicity and the covers must add up to
-    the edge count, so no uncovered pair is left with multiplicity.
+    increasing ints in 0..n-1); a point that does not compare with ints,
+    such as a string or None, fails the sort and the check.  Covers are
+    counted over the cliques: every covered pair must meet its multiplicity
+    and the covers must add up to the edge count, so no uncovered pair is
+    left with multiplicity.
     """
     n = g.n
     seen = set()
     for c in cliques:
-        key = tuple(sorted(c))
+        try:
+            key = tuple(sorted(c))
+        except TypeError:
+            return False
         low = -1
         for x in key:
             if type(x) is not int or x <= low:
@@ -296,6 +299,15 @@ def find_triangle_decomposition(
     refused; ``budget=0`` allows no node.
     """
     check_budget(budget)
+    res = _find(g, budget, forbidden)
+    if res.status is SearchStatus.FOUND:
+        _check_decomposition(g, res.cliques)
+    return res
+
+
+def _find(g: Multigraph, budget: int | None, forbidden) -> DecompositionResult:
+    """``find_triangle_decomposition`` without the final check, so that a
+    mirrored answer is verified once, on g."""
     if g.edge_count() == 0:
         return DecompositionResult(SearchStatus.FOUND, (), 0)
     if _quick_infeasible(g):
@@ -319,19 +331,16 @@ def find_triangle_decomposition(
                         if g.mult_map.get((u, v), g.base)
                     },
                 )
-                res = find_triangle_decomposition(mirror, budget=budget)
+                res = _find(mirror, budget, ())
                 if res.status is not SearchStatus.FOUND:
                     return res
                 keep = set(res.cliques)
                 out = tuple(t for t in transverse_triples(parts) if t not in keep)
-                _check_decomposition(g, out)
                 return DecompositionResult(SearchStatus.FOUND, out, res.nodes)
 
     status, triples, nodes = _triangle_search(g, forbidden, budget)
     if status is SearchStatus.FOUND:
-        out = tuple(sorted(triples))
-        _check_decomposition(g, out)
-        return DecompositionResult(status, out, nodes)
+        return DecompositionResult(status, tuple(sorted(triples)), nodes)
     return DecompositionResult(status, None, nodes)
 
 
@@ -340,25 +349,20 @@ def find_triangle_decomposition(
 # ---------------------------------------------------------------------------
 
 
-class StallEvent(NamedTuple):
-    vertex: int
-    neighbor: int
-    partial: tuple
+StallEvent = namedtuple("StallEvent", "vertex neighbor partial")
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Full working state of the greedy reduction procedure."""
+class ReductionTrace(
+    namedtuple(
+        "ReductionTrace",
+        "q lam lam_prime order gamma cliques residual appearance stalls",
+    )
+):
+    """Full working state of the greedy reduction procedure; ``gamma`` maps
+    x to the tuple of neighbors with input multiplicity > lam, ``residual``
+    is a Multigraph and ``stalls`` a tuple of StallEvents."""
 
-    q: int
-    lam: int
-    lam_prime: int
-    order: tuple
-    gamma: dict  # x -> tuple of neighbors with input multiplicity > lam
-    cliques: tuple
-    residual: Multigraph
-    appearance: dict
-    stalls: tuple
+    __slots__ = ()
 
     def stalled(self) -> bool:
         return bool(self.stalls)

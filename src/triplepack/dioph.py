@@ -8,8 +8,8 @@ counting lemma bounds the scan by N' * (forbidden count + 2).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InvalidParameterError, NonCoprimeModuliError, TriplepackError
@@ -218,8 +218,7 @@ def is_prime_power(m: int) -> bool:
     return _prime_power_base(m) is not None
 
 
-@dataclass(frozen=True)
-class DiophInstance:
+class DiophInstance(namedtuple("DiophInstance", "equalities avoidances")):
     """Equalities x = a_i (mod p_i) plus avoidances x != b (mod q_j) for
     each forbidden residue b.
 
@@ -229,15 +228,17 @@ class DiophInstance:
     shorter or longer list works by the same counting argument as long
     as some residue stays allowed.  Every modulus and residue must be an
     int (bool is not one); nothing is rounded.
+
+    Fields: ``equalities`` ((p, a), ...) and ``avoidances``
+    ((q, (b1, b2, ...)), ...), normalised to tuples when built.
     """
 
-    equalities: tuple  # ((p, a), ...)
-    avoidances: tuple  # ((q, (b1, b2, ...)), ...)
+    __slots__ = ()
 
-    def __post_init__(self):
-        eqs = tuple((p, a) for p, a in self.equalities)
+    def __new__(cls, equalities, avoidances):
+        eqs = tuple((p, a) for p, a in equalities)
         avs = []
-        for entry in self.avoidances:
+        for entry in avoidances:
             rest = entry[1]
             if not isinstance(rest, Iterable):  # (q, b, c, d) form
                 rest = entry[1:]
@@ -245,8 +246,6 @@ class DiophInstance:
         for x in [v for e in eqs for v in e] + [v for q, f in avs for v in (q, *f)]:
             if type(x) is not int:
                 raise InvalidParameterError(f"expected an integer, got {x!r}")
-        object.__setattr__(self, "equalities", eqs)
-        object.__setattr__(self, "avoidances", tuple(avs))
 
         def base_of(m):
             base = _prime_power_base(m)
@@ -255,11 +254,11 @@ class DiophInstance:
             return base
 
         bases = []
-        for p, a in self.equalities:
+        for p, a in eqs:
             bases.append(base_of(p))
             if not 0 <= a < p:
                 raise InvalidParameterError(f"residue {a} out of range mod {p}")
-        for q, forb in self.avoidances:
+        for q, forb in avs:
             bases.append(base_of(q))
             if q < 4:
                 raise InvalidParameterError(f"avoidance modulus {q} < 4")
@@ -271,6 +270,11 @@ class DiophInstance:
                 raise InvalidParameterError(f"bad forbidden residues mod {q}")
         if len(set(bases)) != len(bases):
             raise InvalidParameterError("moduli must have pairwise distinct bases")
+        return super().__new__(cls, eqs, tuple(avs))
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     def satisfied_by(self, x: int) -> bool:
         return (

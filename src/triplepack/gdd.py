@@ -10,7 +10,7 @@ of imported instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .decomp import (
@@ -24,35 +24,35 @@ from .errors import DisjointnessError, InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
 
 
-@dataclass(frozen=True)
-class GddShape:
-    """Group type g1^u1 ... gs^us with block size k and index lam."""
+class GddShape(namedtuple("GddShape", "group_sizes k lam")):
+    """Group type g1^u1 ... gs^us with block size k and index lam;
+    ``group_sizes`` is ((g1, u1), ..., (gs, us)), gi distinct."""
 
-    group_sizes: tuple  # ((g1, u1), ..., (gs, us)), gi distinct
-    k: int
-    lam: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2 or self.lam < 1:
+    def __new__(cls, group_sizes, k, lam):
+        if k < 2 or lam < 1:
             raise InvalidParameterError("need k >= 2, lam >= 1")
-        if sum(u for _, u in self.group_sizes) < 2:
+        if sum(u for _, u in group_sizes) < 2:
             raise InvalidParameterError("a GDD needs at least 2 groups")
-        if any(g < 1 or u < 1 for g, u in self.group_sizes):
+        if any(g < 1 or u < 1 for g, u in group_sizes):
             raise InvalidParameterError("group sizes and counts must be >= 1")
+        return super().__new__(cls, group_sizes, k, lam)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     @property
     def v(self) -> int:
         return sum(g * u for g, u in self.group_sizes)
 
 
-@dataclass(frozen=True)
-class GddInstance:
-    """Points 0..v-1, a partition into groups, and the block list."""
+class GddInstance(namedtuple("GddInstance", "groups blocks lam k", defaults=(3,))):
+    """Points 0..v-1, a partition into groups (a tuple of tuples of
+    points), and the block list (a tuple of sorted tuples, each a k-subset)."""
 
-    groups: tuple  # tuple of tuples of points
-    blocks: tuple  # tuple of sorted tuples, each a k-subset
-    lam: int
-    k: int = 3
+    __slots__ = ()
 
     @property
     def v(self) -> int:

@@ -25,7 +25,7 @@ impossibilities -- a multiplicity above n - 2 -- are refused outright).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import comb, gcd
 
@@ -50,8 +50,7 @@ from .multigraph import (
 from .params import CaseLabel, classify, johnson_bound, upper_bound
 
 
-@dataclass(frozen=True)
-class EvidenceItem:
+class EvidenceItem(namedtuple("EvidenceItem", "kind params copies blocks", defaults=(None,))):
     """Decomposability evidence for one component type of a leave graph.
 
     ``kind`` is "dehon" (complete component, Dehon's theorem), "simple-gdd"
@@ -59,21 +58,17 @@ class EvidenceItem:
     holds an explicit triangle decomposition when one was searched.
     """
 
-    kind: str
-    params: tuple
-    copies: int
-    blocks: tuple | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LeaveCertificate:
-    n: int
-    k: int
-    case: CaseLabel
-    xi: int
-    graph: Multigraph
-    parameters: dict
-    evidence: tuple
+class LeaveCertificate(
+    namedtuple("LeaveCertificate", "n k case xi graph parameters evidence")
+):
+    """A leave ``graph`` (a Multigraph) for xi blocks at (n, k), its
+    CaseLabel, the construction's ``parameters`` (a dict) and a tuple of
+    EvidenceItems."""
+
+    __slots__ = ()
 
     @property
     def sigma(self) -> int:
@@ -290,11 +285,8 @@ def construct_q_leave(n: int, k: int) -> LeaveCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Gadget:
-    g: int
-    l: int
-    u: int
+class _Gadget(namedtuple("_Gadget", "g l u")):
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -11,7 +11,7 @@ integers; a pair absent from the map has multiplicity ``base``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InfeasibleSequenceError, InvalidParameterError, TriplepackError
 
@@ -45,11 +45,17 @@ def _canonical_degrees(n: int, base: int, mult_map: dict):
     return deg
 
 
-@dataclass(frozen=True)
 class Multigraph:
-    n: int
-    base: int = 0
-    mult_map: dict = field(default_factory=dict)  # pair -> multiplicity != base
+    """Fields ``n``, ``base`` and ``mult_map`` (pair -> multiplicity !=
+    base); immutable once built, like every record of the package."""
+
+    __slots__ = ("n", "base", "mult_map", "_inv")
+
+    def __init__(self, n: int, base: int = 0, mult_map: dict | None = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mult_map", {} if mult_map is None else mult_map)
+        self.__post_init__()  # looked up on the class: perfbench/spans.py wraps it
 
     def __post_init__(self):
         n, base = self.n, self.base
@@ -169,6 +175,19 @@ class Multigraph:
 
     def __hash__(self):
         return hash((self.n, self.base, tuple(sorted(self.mult_map.items()))))
+
+    def __repr__(self):
+        name = type(self).__qualname__
+        return f"{name}(n={self.n!r}, base={self.base!r}, mult_map={self.mult_map!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (self.n, self.base, self.mult_map)
 
 
 # -- builders ------------------------------------------------------------
@@ -334,8 +353,9 @@ def realize_degree_sequence(seq) -> Multigraph:
 # -- leave-graph condition report ---------------------------------------
 
 
-@dataclass(frozen=True)
-class LeaveConditionReport:
+class LeaveConditionReport(
+    namedtuple("LeaveConditionReport", "edge_total degrees mults mult_cap")
+):
     """Per-condition pass/fail for a candidate leave multigraph.
 
     Conditions (for claimed packing size xi and multiplicity cap sigma):
@@ -347,10 +367,7 @@ class LeaveConditionReport:
     is checked separately by the decomposition module.
     """
 
-    edge_total: bool
-    degrees: bool
-    mults: bool
-    mult_cap: bool
+    __slots__ = ()
 
     def all_pass(self) -> bool:
         return self.edge_total and self.degrees and self.mults and self.mult_cap

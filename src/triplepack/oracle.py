@@ -8,7 +8,7 @@ their answers can be frozen into tests as oracle values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -23,13 +23,11 @@ from .multigraph import Multigraph, complete
 from .params import CaseLabel, classify, johnson_bound
 
 
-@dataclass(frozen=True)
-class BlockCollection:
-    n: int
-    k: int
-    t: int
-    lam: int
-    blocks: tuple
+class BlockCollection(namedtuple("BlockCollection", "n k t lam blocks")):
+    """Blocks (a tuple of k-tuples) on points 0..n-1, claimed to cover
+    every t-subset at most lam times."""
+
+    __slots__ = ()
 
 
 def verify_packing(bc: BlockCollection) -> bool:
@@ -54,12 +52,11 @@ class ReportStatus(enum.Enum):
     WITNESS_FOUND = "witness-found"
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    status: ReportStatus
-    value: int | None
-    witness: tuple | None
-    nodes_explored: int
+class SearchReport(namedtuple("SearchReport", "status value witness nodes_explored")):
+    """A ReportStatus, the value and witness found (or None) and the nodes
+    explored."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ and P_NONZERO (r = 0, alpha != 0).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParameterError, TriplepackError
 
@@ -90,8 +90,13 @@ class CaseLabel(enum.Enum):
     P_NONZERO = "p-nonzero"
 
 
-@dataclass(frozen=True)
-class CaseData:
+class CaseData(
+    namedtuple(
+        "CaseData",
+        "n k r alpha_r beta_r gamma gamma0 q_beta p q_excess star_holds",
+        defaults=(None,) * 8,
+    )
+):
     """All residues used by the bound formulas and leave constructions.
 
     Residues belonging to different cases are namespaced so that no
@@ -104,17 +109,7 @@ class CaseData:
       alpha != 0.
     """
 
-    n: int
-    k: int
-    r: int
-    alpha_r: int | None = None
-    beta_r: int | None = None
-    gamma: int | None = None
-    gamma0: int | None = None
-    q_beta: int | None = None
-    p: int | None = None
-    q_excess: int | None = None
-    star_holds: bool | None = None
+    __slots__ = ()
 
 
 def classify(n: int, k: int) -> tuple[CaseLabel, CaseData]:

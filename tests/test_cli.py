@@ -121,6 +121,21 @@ class TestDecompose:
         assert code == BUDGET and json.loads(out)["status"] == "budget-exceeded"
 
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("certificate", jsonio.certificate_to_dict(achieved_lower_bound(11, 5)[1])),
+        ("gdd", {"groups": [[0], [1], [2]], "lambda": 1, "blocks": [[0, 1, 2]]}),
+        ("packing", {"n": 7, "k": 3, "t": 2, "lambda": 1, "blocks": [[0, 1, 2]]}),
+        ("dioph", {"equalities": [[4, 1]]}),
+    ], ids=["certificate", "gdd", "packing", "dioph"])
+    def test_other_artifacts_are_refused(self, tmp_path, capsys, kind, payload):
+        # a certificate used to read as the empty graph on its n
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "decompose", "--input", str(path))
+        assert code == BAD_INPUT and out == ""
+        assert err == f"error: expected a multigraph, got a {kind}\n"
+
+
 class TestGdd:
     def test_predicates(self, capsys):
         code, out, _ = run(capsys, "gdd", "--g", "2", "--u", "3", "--lam", "1")
@@ -300,6 +315,9 @@ def _malformed_inputs(tmp_path):
     ({}, ["verify", "."]),
     # integers too large to size a list
     ({}, ["construct", "--n", "100000000000000000000", "--k", "5"]),
+    # outside n > k >= 4, as bounds and verify refuse it
+    ({}, ["construct", "--n", "5", "--k", "5"]),
+    ({}, ["construct", "--n", "10", "--k", "3"]),
     ({}, ["bounds", "--k", "5", "--n", "99999999999999999999999"]),
     ({}, ["verify", "huge.json"]),
     # certificates outside n > k >= 4
@@ -308,7 +326,8 @@ def _malformed_inputs(tmp_path):
     # refused after the first row is known
     ({}, ["classify", "--k", "2", "--n", "5"]),
 ], ids=["budget-env", "params-list", "graph-list", "decompose-list", "directory",
-        "construct-huge-n", "bounds-huge-n", "verify-huge-n", "verify-k2", "verify-k3",
+        "construct-huge-n", "construct-n-equals-k", "construct-k3", "bounds-huge-n",
+        "verify-huge-n", "verify-k2", "verify-k3",
         "classify-k2"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, env, argv):
     _malformed_inputs(tmp_path)

@@ -1,6 +1,5 @@
 """Triangle decomposition engine, Dehon predicate, clique reduction."""
 
-import dataclasses
 import hashlib
 import os
 import random
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from triplepack import decomp
+from triplepack import decomp, gdd
 from triplepack.decomp import (
     ReductionTrace,
     SearchStatus,
@@ -70,6 +69,32 @@ class TestVerify:
     def test_rejects_a_cover_of_phantom_pairs_alone(self):
         # three pairs of non-vertices would match the edge count of K_3
         assert not verify_decomposition(complete(3, 1), [(0.5, 1.5, 2.5)])
+
+    @pytest.mark.parametrize("point", ["a", None, (1,)])
+    def test_points_that_do_not_compare_with_ints_are_rejected(self, point):
+        # they used to raise TypeError from the sort
+        assert not verify_decomposition(complete(3, 1), [(0, point, 1)])
+        assert not verify_decomposition(complete(3, 1), [(point,)])
+
+    @pytest.mark.parametrize("run, calls", [
+        (lambda: search_simple_gdd(1, 10, 6), 2),
+        (lambda: find_triangle_decomposition(complete(9, 4)), 1),
+    ], ids=["gdd-search", "mirror"])
+    def test_a_mirrored_answer_is_verified_once(self, monkeypatch, run, calls):
+        # each emitted claim is checked (the search's answer on g, then
+        # verify_gdd on the design); the answer on the complementary
+        # multiplicity is an intermediate and is not
+        seen = []
+        real = decomp.verify_decomposition
+
+        def counting(g, cliques):
+            seen.append(g)
+            return real(g, cliques)
+
+        monkeypatch.setattr(decomp, "verify_decomposition", counting)
+        monkeypatch.setattr(gdd, "verify_decomposition", counting)
+        assert run() is not None
+        assert len(seen) == calls
 
     @settings(max_examples=200)
     @given(
@@ -510,8 +535,8 @@ class TestReductionKernelMatchesReference:
         g = Multigraph(n, base=base, mult_map=dict(zip(pairs, mults)))
         got = clique_reduction(g, q, lam, lam_prime, vertex_order=order)
         want = _reference_reduction(g, q, lam, lam_prime, vertex_order=order)
-        for field in dataclasses.fields(ReductionTrace):
-            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        for field in ReductionTrace._fields:
+            assert getattr(got, field) == getattr(want, field), field
         assert all(type(s) is StallEvent for s in got.stalls)
         assert [(s.vertex, s.neighbor, s.partial) for s in got.stalls] == [
             (s.vertex, s.neighbor, s.partial) for s in want.stalls

@@ -1,6 +1,5 @@
 """Leave constructions and the lower bounds they certify."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -278,16 +277,16 @@ class TestVerifyCertificate:
         assert item.kind == "simple-gdd" and item.blocks
         used = {tuple(sorted(b)) for b in item.blocks}
         other = next(b for b in combinations(range(11), 3) if b not in used)
-        tampered = dataclasses.replace(item, blocks=(other,) + item.blocks[1:])
+        tampered = item._replace(blocks=(other,) + item.blocks[1:])
         assert cert.conditions().all_pass()
-        assert not verify_certificate(dataclasses.replace(cert, evidence=(tampered,)))
+        assert not verify_certificate(cert._replace(evidence=(tampered,)))
 
     def test_pair_above_n_minus_2_fails_the_cap(self):
         # (8, 4), xi = 13, one pair at 12 > n - 2 = 6: edge total
         # 2 * 12 = 8*7*6 - 24 * 13, degrees 12 = 0 (mod 6) and multiplicity
         # 12 = n - 2 (mod 2) all hold; only the cap refuses it
         cert = construct_q_leave(8, 4)
-        tampered = dataclasses.replace(cert, xi=13, graph=Multigraph(8, mult_map={(0, 1): 12}))
+        tampered = cert._replace(xi=13, graph=Multigraph(8, mult_map={(0, 1): 12}))
         rep = tampered.conditions()
         assert rep.edge_total and rep.degrees and rep.mults and not rep.mult_cap
         assert tampered.sigma == 12
@@ -298,7 +297,7 @@ class TestVerifyCertificate:
         # k = 2 used to divide by k - 2 inside the leave conditions
         cert = achieved_lower_bound(9, 5)[1]
         with pytest.raises(InvalidParameterError, match="n > k >= 4"):
-            verify_certificate(dataclasses.replace(cert, k=k))
+            verify_certificate(cert._replace(k=k))
 
     @pytest.mark.parametrize("params, blocks", [
         ((1000, 1000, 1), 1),  # the gadget has more vertices than n = 11
@@ -311,9 +310,9 @@ class TestVerifyCertificate:
         cert = construct_p_leave(11, 5)
         item = cert.evidence[0]
         assert (item.params, len(item.blocks)) == ((1, 11, 3), 55)
-        tampered = dataclasses.replace(item, params=params, blocks=item.blocks[:blocks])
+        tampered = item._replace(params=params, blocks=item.blocks[:blocks])
         monkeypatch.setattr(leave, "gadget_multigraph", None)  # never called
-        assert not verify_certificate(dataclasses.replace(cert, evidence=(tampered,)))
+        assert not verify_certificate(cert._replace(evidence=(tampered,)))
 
 
 def test_constructor_checks_survive_optimize_flag():

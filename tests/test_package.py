@@ -66,6 +66,28 @@ def test_cold_import_loads_only_what_it_runs():
     assert got["unbound"] == [] and got["not_in_dir"] == []
 
 
+# what the modules of every command add to sys.modules in a fresh
+# interpreter: the records are namedtuples and one __slots__ class, so
+# neither dataclasses nor the inspect module it imports is loaded
+RECORD_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import triplepack.cli, triplepack.leave, triplepack.oracle, triplepack.gdd
+import triplepack.dioph, triplepack.decomp, triplepack.jsonio
+print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_package_loads_neither_dataclasses_nor_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-c", RECORD_IMPORT],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_no_assert_statements_in_the_package():
     found = [
         f"{path.name}:{node.lineno}"
