@@ -8,8 +8,9 @@ For each seed the instances are the desk workload's 400 avoidance
 instances, drawn from ``random.Random(seed)`` after the desk reductions,
 with the generator of ``perfbench/workloads.py``.
 
-Each side runs in fresh processes on its own ``src/`` (the parent's is
-extracted with ``git archive``), the two sides alternating for ``--rounds``
+Each side runs in fresh processes on its own copy of the tree (made as
+``bench/desk_tail.py`` makes it: the parent's with ``git archive``, the
+working tree's files copied), the two sides alternating for ``--rounds``
 rounds.  An instance's time is the fastest of its ``--repeats`` calls in a
 process; a side's time per solve is the median over the instances, then
 the median over the rounds.  The machine-independent counter is the number
@@ -99,14 +100,6 @@ def run_side(src: Path, seeds: str, repeats: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def extract_src(rev: str, into: Path) -> Path:
-    archive = subprocess.run(
-        ["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True, check=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return into / "src"
-
-
 def seed_range(text: str) -> range:
     lo, _, hi = text.partition("-")
     return range(int(lo), int(hi or lo) + 1)
@@ -127,12 +120,15 @@ def main(argv=None) -> int:
     if not args.parent:
         p.error("--parent is required")
 
+    from desk_tail import extract_tree
+
     sha = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", args.parent],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": extract_src(sha, Path(tmp)), "change": REPO / "src"}
+        sides = {side: extract_tree(rev, Path(tmp) / side) / "src"
+                 for side, rev in (("parent", sha), ("change", None))}
         runs = {side: [] for side in sides}
         for r in range(args.rounds):
             # alternate which side runs first

@@ -10,8 +10,9 @@ timed twice: the construction alone (``achieved_lower_bound``), and the
 whole pipeline the sweep times (construct, check the leave conditions,
 write JSON, read it back, ``verify_certificate``).
 
-Each round starts one fresh worker process per side on its own ``src/``
-(the parent's is extracted with ``git archive``).  A worker first makes
+Each round starts one fresh worker process per side on its own copy of
+the tree (made as ``bench/desk_tail.py`` makes it: the parent's with
+``git archive``, the working tree's files copied).  A worker first makes
 one untimed pass: it fills the constructors' caches, hashes each
 certificate's bytes (or its refusal) and counts the pairs handed to
 ``Multigraph`` over the pipeline, a counter that does not depend on the
@@ -173,14 +174,6 @@ def run_round(sides: dict, seed: int, repeats: int, first: int) -> dict:
     return rows
 
 
-def extract_src(rev: str, into: Path) -> Path:
-    archive = subprocess.run(
-        ["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True, check=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return into / "src"
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", help="git revision to compare against")
@@ -196,12 +189,15 @@ def main(argv=None) -> int:
     if not args.parent:
         p.error("--parent is required")
 
+    from desk_tail import extract_tree
+
     sha = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", args.parent],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": extract_src(sha, Path(tmp)), "change": REPO / "src"}
+        sides = {side: extract_tree(rev, Path(tmp) / side) / "src"
+                 for side, rev in (("parent", sha), ("change", None))}
         runs = [run_round(sides, args.seed, args.repeats, r) for r in range(args.rounds)]
 
     items = []

@@ -9,8 +9,9 @@ The graphs are criterion 9's generator (each pair present with probability
 ``random.Random(seed)`` in the order ``perfbench/workloads.py`` draws its
 desk reductions; each is reduced with q = 3, lam = 1, lam' = 3.
 
-Each side runs in fresh processes on its own ``src/`` (the parent's is
-extracted with ``git archive``), the two sides alternating for ``--rounds``
+Each side runs in fresh processes on its own copy of the tree (made as
+``bench/desk_tail.py`` makes it: the parent's with ``git archive``, the
+working tree's files copied), the two sides alternating for ``--rounds``
 rounds.  A graph's time is the median of its ``--repeats`` calls in a
 round, then the median over the rounds.  The machine-independent counters
 of every graph (cliques removed, stalls, appearance total) must be equal
@@ -87,14 +88,6 @@ def run_side(src: Path, seed: int, repeats: int) -> list:
     return json.loads(proc.stdout)
 
 
-def extract_src(rev: str, into: Path) -> Path:
-    archive = subprocess.run(
-        ["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True, check=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return into / "src"
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", help="git revision to compare against")
@@ -110,12 +103,15 @@ def main(argv=None) -> int:
     if not args.parent:
         p.error("--parent is required")
 
+    from desk_tail import extract_tree
+
     sha = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", args.parent],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": extract_src(sha, Path(tmp)), "change": REPO / "src"}
+        sides = {side: extract_tree(rev, Path(tmp) / side) / "src"
+                 for side, rev in (("parent", sha), ("change", None))}
         runs = {side: [] for side in sides}
         for r in range(args.rounds):
             # alternate which side runs first

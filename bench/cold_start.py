@@ -8,7 +8,8 @@ parent revision and for the working tree, and write BENCH_cold_start.json.
 The commands and their seeded input files are those of the cli workload in
 ``perfbench/workloads.py`` (class ``Cli``), plus a bare
 ``import triplepack.cli``, the benchmark's set-up sample.  Each side runs
-from its own ``src/`` (the parent's is extracted with ``git archive``) and
+from its own copy of the tree (made as ``bench/desk_tail.py`` makes it:
+the parent's with ``git archive``, the working tree's files copied) and
 its own scratch directory, in fresh interpreters with
 PYTHONDONTWRITEBYTECODE=1, as a shell user meets it: every process compiles
 the modules it imports.  The sides alternate command by command, and which
@@ -98,14 +99,6 @@ def first_round(src: Path, tmp: str, script: list) -> list:
     return rows
 
 
-def extract_src(rev: str, into: Path) -> Path:
-    archive = subprocess.run(
-        ["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True, check=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return into / "src"
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
@@ -121,12 +114,15 @@ def main(argv=None) -> int:
         ["git", "-C", str(REPO), "rev-parse", args.parent],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
+    from desk_tail import e2e_runs, extract_tree
+
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        sides = {"parent": extract_src(sha, tmp), "change": REPO / "src"}
+        sides = {side: extract_tree(rev, tmp / side) / "src"
+                 for side, rev in (("parent", sha), ("change", None))}
         work, scripts = {}, {}
         for side in sides:
-            work[side] = str(tmp / side)
+            work[side] = str(tmp / f"{side}-work")
             os.mkdir(work[side])
             scripts[side] = [(None, None), *cli_script(args.seed, work[side])]
         checked = {side: first_round(sides[side], work[side], scripts[side]) for side in sides}
@@ -176,8 +172,6 @@ def main(argv=None) -> int:
     }
     e2e = {}
     if args.e2e_pairs:
-        from desk_tail import e2e_runs, extract_tree
-
         seeds = range(args.e2e_first_seed, args.e2e_first_seed + args.e2e_pairs)
         with tempfile.TemporaryDirectory() as tmp:
             trees = {"parent": extract_tree(sha, Path(tmp) / "parent"),

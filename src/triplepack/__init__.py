@@ -16,11 +16,10 @@ _EXPORTS = {
         "decompose_via_reduction", "dehon_conditions",
         "find_triangle_decomposition", "verify_decomposition",
     ),
-    "dioph": ("DiophInstance", "crt", "prime_power_split", "solve_avoidance"),
+    "dioph": ("DiophInstance", "solve_avoidance"),
     "gdd": (
-        "GddInstance", "GddShape", "gadget_multigraph", "juxtapose",
-        "lgdd_exists", "search_simple_gdd", "simple_gdd_exists",
-        "simple_ts_exists", "verify_gdd",
+        "GddInstance", "gadget_multigraph", "lgdd_exists", "search_simple_gdd",
+        "simple_gdd_exists", "simple_ts_exists", "verify_gdd",
     ),
     "leave": (
         "LeaveCertificate", "achieved_lower_bound", "construct_p_leave",
@@ -28,7 +27,7 @@ _EXPORTS = {
     ),
     "multigraph": (
         "Multigraph", "check_leave_conditions", "complete", "disjoint_union",
-        "erdos_gallai_feasible", "overlay", "realize_degree_sequence", "scale",
+        "erdos_gallai_feasible", "realize_degree_sequence",
     ),
     "oracle": (
         "BlockCollection", "ReportStatus", "SearchReport", "max_packing",

@@ -306,8 +306,9 @@ def find_triangle_decomposition(
 
 
 def _find(g: Multigraph, budget: int | None, forbidden) -> DecompositionResult:
-    """``find_triangle_decomposition`` without the final check, so that a
-    mirrored answer is verified once, on g."""
+    """``find_triangle_decomposition`` without the final check: each
+    caller verifies the answer it returns, so a mirrored or combined
+    answer is checked once."""
     if g.edge_count() == 0:
         return DecompositionResult(SearchStatus.FOUND, (), 0)
     if _quick_infeasible(g):
@@ -508,9 +509,8 @@ def decompose_via_reduction(
         raise InvalidParameterError("residual decomposition search supports q = 3 only")
     check_budget(budget)
     trace = clique_reduction(g, q, lam, lam_prime)
-    res = find_triangle_decomposition(
-        trace.residual, budget=budget, forbidden=trace.cliques
-    )
+    # the residual's triangles are checked once, with the cliques, on g
+    res = _find(trace.residual, budget, trace.cliques)
     if res.status is SearchStatus.FOUND:
         combined = tuple(sorted(trace.cliques + res.cliques))
         _check_decomposition(g, combined)

@@ -1,6 +1,6 @@
-"""Number-theoretic utilities: CRT, prime-power factorization, and a
-solver for systems of congruences plus avoidance constraints (x must
-miss given residues modulo further prime powers).
+"""Systems of congruences plus avoidance constraints (x must miss given
+residues modulo further prime powers): the instance type, whose moduli
+must be prime powers, and its solver.
 
 The solver fixes one CRT class r (mod N') and scans it upward; a
 counting lemma bounds the scan by N' * (forbidden count + 2).
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from math import gcd, isqrt
+from math import isqrt
 
-from .errors import InvalidParameterError, NonCoprimeModuliError, TriplepackError
+from .errors import InvalidParameterError, TriplepackError
 
 
 def _primes_below(n: int) -> tuple:
@@ -33,27 +33,6 @@ _MR_BASES = _SMALL_PRIMES[:13]
 _MR_PROVEN_BELOW = 3317044064679887385961981
 
 
-def crt(pairs) -> int:
-    """Least positive x with x = a (mod m) for every (m, a) pair.
-
-    Moduli must be pairwise coprime.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidParameterError("need at least one congruence")
-    moduli = [m for m, _ in pairs]
-    if any(m < 1 for m in moduli):
-        raise InvalidParameterError("moduli must be positive")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if gcd(moduli[i], moduli[j]) != 1:
-                raise NonCoprimeModuliError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not coprime"
-                )
-    x, modulus = _crt_fold(pairs)
-    return x if x > 0 else modulus
-
-
 def _crt_fold(pairs) -> tuple:
     """(x, N) with 0 <= x < N = product of the moduli and x = a (mod m)
     for every (m, a) pair; the moduli must be positive and pairwise
@@ -64,27 +43,6 @@ def _crt_fold(pairs) -> tuple:
         x += modulus * ((a - x) * pow(modulus, -1, m) % m)
         modulus *= m
     return x, modulus
-
-
-def _split_small(m: int):
-    """Trial division of m >= 1 by the primes below _TRIAL_LIMIT.
-
-    Returns ([(prime, power), ...] ascending, cofactor); the cofactor is 1
-    or has only prime factors above _TRIAL_LIMIT.
-    """
-    found = []
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            if m > 1:
-                found.append((m, 1))
-            return found, 1
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            found.append((p, e))
-    return found, m
 
 
 def _iroot(n: int, k: int) -> int:
@@ -134,88 +92,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _brent_divisor(n: int) -> int:
-    """A proper divisor of the odd composite n, by Pollard-Brent rho.
-
-    The start value and the constants c = 1, 2, ... are fixed, so the
-    divisor found depends only on n.
-    """
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _factor(m: int) -> list:
-    """Prime factorization of m >= 1 as [(prime, power), ...] ascending."""
-    found, rest = _split_small(m)
-    powers = dict(found)
-    stack = [(rest, 1)] if rest > 1 else []
-    while stack:
-        n, mult = stack.pop()
-        root, k = _perfect_root(n)
-        if k > 1:
-            stack.append((root, mult * k))
-        elif _is_prime(n):
-            powers[n] = powers.get(n, 0) + mult
-        else:
-            d = _brent_divisor(n)
-            stack += [(d, mult), (n // d, mult)]
-    return sorted(powers.items())
-
-
 def _prime_power_base(m: int):
     """The prime p with m = p ** e for some e >= 1, or None.
 
-    Needs no split of a composite: m is a prime power exactly when its
-    largest perfect-power root is prime.
+    Trial division by the primes below _TRIAL_LIMIT settles every m with
+    a small prime factor; otherwise m is a prime power exactly when its
+    largest perfect-power root is prime, so no composite is ever split.
     """
     if m < 2:
         return None
-    found, rest = _split_small(m)
-    if found:
-        return found[0][0] if len(found) == 1 and rest == 1 else None
-    root, _ = _perfect_root(rest)
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            return m  # no prime factor up to sqrt(m): m is prime
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            return p if m == 1 else None
+    root, _ = _perfect_root(m)
     return root if _is_prime(root) else None
-
-
-def prime_power_split(m: int, exclude_bases=()) -> list:
-    """Factor m into [(prime, power), ...], primes ascending, optionally
-    dropping the given prime bases (the constructions here routinely
-    discard powers of 2 and 3).
-
-    Raises InvalidParameterError when a factor would need a primality
-    proof above the Miller-Rabin bound.
-    """
-    if m < 1:
-        raise InvalidParameterError("need m >= 1")
-    return [(p, e) for p, e in _factor(m) if p not in exclude_bases]
-
-
-def is_prime_power(m: int) -> bool:
-    """True when m = p ** e for a prime p and e >= 1; raises
-    InvalidParameterError like prime_power_split."""
-    return _prime_power_base(m) is not None
 
 
 class DiophInstance(namedtuple("DiophInstance", "equalities avoidances")):

@@ -31,11 +31,3 @@ class NTooSmallError(TriplepackError):
 
 class ParameterSearchExhaustedError(TriplepackError):
     """The bounded gadget-parameter search found no admissible combination."""
-
-
-class DisjointnessError(TriplepackError):
-    """Block sets expected to be pairwise disjoint are not."""
-
-
-class NonCoprimeModuliError(TriplepackError):
-    """CRT input moduli are not pairwise coprime."""

@@ -1,5 +1,6 @@
 """Group divisible designs: existence predicates, small exact search,
-juxtaposition, and the complete-multipartite gadget graphs.
+assembly from disjoint designs, and the complete-multipartite gadget
+graphs.
 
 A (k, lam)-GDD is a point set partitioned into >= 2 groups together with
 k-subset blocks covering every cross-group pair exactly lam times and no
@@ -15,37 +16,15 @@ from itertools import combinations
 
 from .decomp import (
     SearchStatus,
+    _find,
+    check_budget,
     dehon_conditions,
     find_triangle_decomposition,
     transverse_triples,
     verify_decomposition,
 )
-from .errors import DisjointnessError, InvalidParameterError, TriplepackError
+from .errors import InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
-
-
-class GddShape(namedtuple("GddShape", "group_sizes k lam")):
-    """Group type g1^u1 ... gs^us with block size k and index lam;
-    ``group_sizes`` is ((g1, u1), ..., (gs, us)), gi distinct."""
-
-    __slots__ = ()
-
-    def __new__(cls, group_sizes, k, lam):
-        if k < 2 or lam < 1:
-            raise InvalidParameterError("need k >= 2, lam >= 1")
-        if sum(u for _, u in group_sizes) < 2:
-            raise InvalidParameterError("a GDD needs at least 2 groups")
-        if any(g < 1 or u < 1 for g, u in group_sizes):
-            raise InvalidParameterError("group sizes and counts must be >= 1")
-        return super().__new__(cls, group_sizes, k, lam)
-
-    @classmethod
-    def _make(cls, fields):  # so _replace validates too
-        return cls(*fields)
-
-    @property
-    def v(self) -> int:
-        return sum(g * u for g, u in self.group_sizes)
 
 
 class GddInstance(namedtuple("GddInstance", "groups blocks lam k", defaults=(3,))):
@@ -141,9 +120,7 @@ def gadget_multigraph(g: int, u: int, edge_mult: int) -> Multigraph:
         raise InvalidParameterError("need g, u, edge_mult >= 1")
     if u == 1:
         return Multigraph(g)
-    out = _multipartite(_contiguous_groups(g, u), edge_mult)
-    out.validate()
-    return out
+    return _multipartite(_contiguous_groups(g, u), edge_mult)
 
 
 def _contiguous_groups(g: int, u: int) -> tuple:
@@ -159,13 +136,14 @@ def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
     Returns (status, instance-or-None, nodes).  NONE is exhaustive: no
     such design exists.  The search space is the distinct triangle
     decompositions of the gadget multigraph.  A negative ``budget`` is
-    refused (by the search).
+    refused.  A found design is checked once, by ``verify_gdd``.
     """
     if g * u > SEARCH_CAP:
         raise InvalidParameterError(f"search capped at gu <= {SEARCH_CAP}")
     if u < 2:
         raise InvalidParameterError("need u >= 2")
-    res = find_triangle_decomposition(gadget_multigraph(g, u, lam), budget=budget)
+    check_budget(budget)
+    res = _find(gadget_multigraph(g, u, lam), budget, ())
     if res.status is not SearchStatus.FOUND:
         return res.status, None, res.nodes
     inst = GddInstance(groups=_contiguous_groups(g, u), blocks=res.cliques, lam=lam)
@@ -239,35 +217,3 @@ def assemble_simple_gdd(
             return inst
     status, inst, _ = search_simple_gdd(g, u, lam, budget=budget)
     return inst if status is SearchStatus.FOUND else None
-
-
-def juxtapose(instances) -> GddInstance:
-    """Union of pairwise disjoint simple GDDs on common groups: a simple
-    GDD whose index is the sum of the indices."""
-    instances = list(instances)
-    if not instances:
-        raise InvalidParameterError("need at least one instance")
-    first = instances[0]
-    all_blocks = []
-    for inst in instances:
-        if inst.groups != first.groups:
-            raise InvalidParameterError("instances must share the same groups")
-        if inst.k != first.k:
-            raise InvalidParameterError("instances must share block size")
-        all_blocks.extend(inst.blocks)
-    if len(set(all_blocks)) != len(all_blocks):
-        raise DisjointnessError("block sets are not pairwise disjoint")
-    return GddInstance(
-        groups=first.groups,
-        blocks=tuple(sorted(all_blocks)),
-        lam=sum(inst.lam for inst in instances),
-        k=first.k,
-    )
-
-
-def gdd_block_count(g: int, u: int, lam: int) -> int:
-    """Number of blocks of any (3, lam)-GDD(g^u): lam*g^2*u*(u-1)/6."""
-    num = lam * g * g * u * (u - 1)
-    if num % 6 != 0:
-        raise InvalidParameterError("parameters violate block-count divisibility")
-    return num // 6

@@ -209,7 +209,6 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
         params = {"r": r, "gamma": gamma, "gamma0": gamma0}
 
     graph = Multigraph(n, base=r, mult_map=mult_map)
-    graph.validate()
     _require(degrees is None or graph.degrees() == degrees, "degrees of (k-2)G' + rK_n")
     _require(2 * graph.edge_count() == edge_target, "edge total of (k-2)G' + rK_n")
     top = graph.max_mult()

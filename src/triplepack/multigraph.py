@@ -197,9 +197,7 @@ def complete(n: int, lam: int) -> Multigraph:
     """The multigraph lam*K_n (every pair at multiplicity lam)."""
     if n < 1 or lam < 0:
         raise InvalidParameterError(f"need n >= 1, lam >= 0, got {(n, lam)}")
-    g = Multigraph(n, base=lam)
-    g.validate()
-    return g
+    return Multigraph(n, base=lam)
 
 
 def disjoint_union(graphs, pad_to_n: int) -> Multigraph:
@@ -219,33 +217,7 @@ def disjoint_union(graphs, pad_to_n: int) -> Multigraph:
         for u, v, m in pairs:
             mult[(u + offset, v + offset)] = m
         offset += g.n
-    out = Multigraph(pad_to_n, base=0, mult_map=mult)
-    out.validate()
-    return out
-
-
-def scale(g: Multigraph, lam: int) -> Multigraph:
-    """Multiply every multiplicity by lam."""
-    if lam < 0:
-        raise InvalidParameterError("lam must be >= 0")
-    out = Multigraph(
-        g.n, base=g.base * lam, mult_map={p: m * lam for p, m in g.mult_map.items()}
-    )
-    out.validate()
-    return out
-
-
-def overlay(g: Multigraph, h: Multigraph) -> Multigraph:
-    """Edge-disjoint union on a common vertex set (pointwise sum)."""
-    if g.n != h.n:
-        raise InvalidParameterError(f"order mismatch: {g.n} != {h.n}")
-    base = g.base + h.base
-    mult = {}
-    for p in set(g.mult_map) | set(h.mult_map):
-        mult[p] = g.mult_map.get(p, g.base) + h.mult_map.get(p, h.base)
-    out = Multigraph(g.n, base=base, mult_map=mult)
-    out.validate()
-    return out
+    return Multigraph(pad_to_n, base=0, mult_map=mult)
 
 
 def is_q2_divisible(g: Multigraph, q: int) -> bool:

@@ -76,14 +76,17 @@ class TestVerify:
         assert not verify_decomposition(complete(3, 1), [(0, point, 1)])
         assert not verify_decomposition(complete(3, 1), [(point,)])
 
-    @pytest.mark.parametrize("run, calls", [
-        (lambda: search_simple_gdd(1, 10, 6), 2),
-        (lambda: find_triangle_decomposition(complete(9, 4)), 1),
-    ], ids=["gdd-search", "mirror"])
-    def test_a_mirrored_answer_is_verified_once(self, monkeypatch, run, calls):
-        # each emitted claim is checked (the search's answer on g, then
-        # verify_gdd on the design); the answer on the complementary
-        # multiplicity is an intermediate and is not
+    @pytest.mark.parametrize("run", [
+        lambda: search_simple_gdd(1, 10, 6),
+        lambda: find_triangle_decomposition(complete(9, 4)),
+        lambda: search_simple_gdd(2, 6, 1),
+        lambda: decompose_via_reduction(complete(7, 2), 3, 2, 2),
+    ], ids=["gdd-search", "mirror", "gdd-direct", "reduction"])
+    def test_a_mirrored_answer_is_verified_once(self, monkeypatch, run):
+        # each emitted claim is checked once, on the graph it claims to
+        # decompose: a design by verify_gdd, a reduction's cliques with its
+        # residual's triangles on g.  The answer on the complementary
+        # multiplicity and the residual's own answer are intermediates
         seen = []
         real = decomp.verify_decomposition
 
@@ -94,7 +97,7 @@ class TestVerify:
         monkeypatch.setattr(decomp, "verify_decomposition", counting)
         monkeypatch.setattr(gdd, "verify_decomposition", counting)
         assert run() is not None
-        assert len(seen) == calls
+        assert len(seen) == 1
 
     @settings(max_examples=200)
     @given(
@@ -665,7 +668,7 @@ def test_transverse_triples_match_a_brute_force_filter(parts):
 def test_postconditions_survive_optimize_flag():
     # with verification failing on the input graph, every FOUND path must
     # refuse its answer: the main search, the multipartite mirror (3K5),
-    # and the reduction (whose residual search still verifies)
+    # and the reduction (whose one check is on g, after the residual search)
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
         "import triplepack.decomp as decomp\n"

@@ -1,4 +1,5 @@
-"""CRT, prime-power splitting, and the congruence/avoidance solver."""
+"""The CRT fold, the prime-power test on moduli, and the
+congruence/avoidance solver."""
 
 import os
 import random
@@ -11,15 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplepack.dioph import (
-    DiophInstance,
-    _factor,
-    crt,
-    is_prime_power,
-    prime_power_split,
-    solve_avoidance,
-)
-from triplepack.errors import InvalidParameterError, NonCoprimeModuliError
+from triplepack.dioph import DiophInstance, _crt_fold, solve_avoidance
+from triplepack.errors import InvalidParameterError
 
 M31, M61, M89 = 2**31 - 1, 2**61 - 1, 2**89 - 1  # Mersenne primes
 
@@ -30,50 +24,51 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
+def accepted(m: int) -> bool:
+    """Whether DiophInstance takes m as a modulus, that is, whether m is a
+    prime power; any other refusal propagates."""
+    try:
+        DiophInstance(equalities=((m, 0),), avoidances=())
+    except InvalidParameterError as exc:
+        if "not a prime power" in str(exc):
+            return False
+        raise
+    return True
+
+
 class TestCrt:
     def test_frozen_triple(self):
-        # least positive solution of x=1 (4), x=2 (9), x=3 (5)
-        assert crt([(4, 1), (9, 2), (5, 3)]) == 173
+        # x=1 (4), x=2 (9), x=3 (5): least non-negative solution mod 180
+        assert _crt_fold([(4, 1), (9, 2), (5, 3)]) == (173, 180)
 
     def test_single(self):
-        assert crt([(7, 5)]) == 5
+        assert _crt_fold([(7, 5)]) == (5, 7)
 
     def test_zero_residue_gives_modulus(self):
-        assert crt([(7, 0)]) == 7  # least POSITIVE representative
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(NonCoprimeModuliError):
-            crt([(4, 1), (6, 5)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidParameterError):
-            crt([])
+        # the solver's answer is the least POSITIVE representative
+        assert solve_avoidance(DiophInstance(equalities=((7, 0),), avoidances=())) == 7
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_roundtrip(self, x):
         moduli = (7, 9, 11, 13)
-        got = crt([(m, x % m) for m in moduli])
-        prod = 7 * 9 * 11 * 13
-        assert 1 <= got <= prod
+        got, prod = _crt_fold([(m, x % m) for m in moduli])
+        assert prod == 7 * 9 * 11 * 13
+        assert 0 <= got < prod
         assert all(got % m == x % m for m in moduli)
 
 
 class TestPrimePowers:
-    def test_split(self):
-        assert prime_power_split(360) == [(2, 3), (3, 2), (5, 1)]
-        assert prime_power_split(360, exclude_bases=(2, 3)) == [(5, 1)]
-        assert prime_power_split(1) == []
-
     def test_is_prime_power(self):
-        assert is_prime_power(8) and is_prime_power(27) and is_prime_power(13)
-        assert not is_prime_power(1) and not is_prime_power(12)
+        assert accepted(8) and accepted(27) and accepted(13)
+        assert not accepted(1) and not accepted(12)
+        assert not accepted(1009 * M31**2)  # a small factor and a large cofactor
 
     @pytest.mark.parametrize("call, expected", [
-        (lambda: is_prime_power(M61), True),
-        (lambda: is_prime_power(M31**3), True),
-        (lambda: is_prime_power(M31 * M61), False),
-        (lambda: prime_power_split(M31 * M61), [(M31, 1), (M61, 1)]),
-        (lambda: prime_power_split(1009 * M31**2), [(1009, 1), (M31, 2)]),
+        (lambda: accepted(M61), True),
+        (lambda: accepted(M31**3), True),
+        (lambda: accepted(M31 * M61), False),
+        (lambda: DiophInstance(((M31, 1),), ((M61, (0,)),)).avoidances, ((M61, (0,)),)),
+        (lambda: DiophInstance(((1009, 1),), ((M31**2, (0,)),)).avoidances, ((M31**2, (0,)),)),
     ])
     def test_large_moduli_within_budget(self, call, expected):
         start = time.perf_counter()
@@ -81,24 +76,20 @@ class TestPrimePowers:
         assert time.perf_counter() - start < 1.0
 
     def test_probable_prime_above_proven_bound_refused(self):
+        with pytest.raises(InvalidParameterError, match="cannot prove"):
+            accepted(M89)
         with pytest.raises(InvalidParameterError):
-            is_prime_power(M89)
-        with pytest.raises(InvalidParameterError):
-            DiophInstance(equalities=((M89, 1),), avoidances=())
+            DiophInstance(equalities=(), avoidances=((M89, (1,)),))
         # compositeness is proven at any size
-        assert not is_prime_power(2 * M89)
+        assert not accepted(2 * M89)
 
 
 class TestAgainstSympy:
     @settings(max_examples=300)
     @given(st.integers(min_value=1, max_value=10**12 - 1))
     def test_factor(self, sympy, m):
-        expected = sorted(sympy.factorint(m).items())
-        assert _factor(m) == expected
-        assert prime_power_split(m, exclude_bases=(2, 3)) == [
-            (p, e) for p, e in expected if p not in (2, 3)
-        ]
-        assert is_prime_power(m) == (len(expected) == 1)
+        # m is a prime power exactly when its factorisation has one prime
+        assert accepted(m) == (len(sympy.factorint(m)) == 1)
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.integers(1, 10**4), st.integers(-10**6, 10**6)),
@@ -111,7 +102,7 @@ class TestAgainstSympy:
         x, modulus = sympy.ntheory.modular.crt(
             [m for m, _ in pairs], [a for _, a in pairs]
         )
-        assert crt(pairs) == (int(x) % int(modulus) or int(modulus))
+        assert _crt_fold(pairs) == (int(x) % int(modulus), int(modulus))
 
 
 class TestInstanceValidation:
@@ -198,7 +189,7 @@ class TestSolver:
         inst = DiophInstance(equalities=((4, 3), (9, 4)), avoidances=())
         x = solve_avoidance(inst)
         assert inst.satisfied_by(x)
-        assert x == crt([(4, 3), (9, 4)])
+        assert x == 31
 
     def test_mixed(self):
         inst = DiophInstance(

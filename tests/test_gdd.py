@@ -1,4 +1,4 @@
-"""Group divisible designs: predicates, search, assembly, juxtaposition."""
+"""Group divisible designs: predicates, search and assembly."""
 
 import json
 import os
@@ -9,14 +9,11 @@ from pathlib import Path
 import pytest
 
 from triplepack.decomp import SearchStatus, verify_decomposition
-from triplepack.errors import DisjointnessError, InvalidParameterError
+from triplepack.errors import InvalidParameterError
 from triplepack.gdd import (
     GddInstance,
-    GddShape,
     assemble_simple_gdd,
     gadget_multigraph,
-    gdd_block_count,
-    juxtapose,
     lgdd_exists,
     search_disjoint_simple_gdds,
     search_simple_gdd,
@@ -59,19 +56,8 @@ class TestPredicates:
         assert not simple_gdd_exists(2, 3, 3)  # parity: lam*g*(u-1) odd
         assert not simple_gdd_exists(1, 7, 6)  # lam above g(u-2)
 
-    def test_block_count(self):
-        assert gdd_block_count(1, 7, 1) == 7
-        assert gdd_block_count(2, 3, 2) == 8
-        with pytest.raises(InvalidParameterError):
-            gdd_block_count(1, 5, 1)
-
 
 class TestShapes:
-    def test_shape_order(self):
-        assert GddShape(((2, 3),), 3, 1).v == 6
-        with pytest.raises(InvalidParameterError):
-            GddShape(((2, 1),), 3, 1)  # a single group is not a GDD
-
     def test_gadget_multigraph(self):
         g = gadget_multigraph(2, 3, 2)
         assert g.n == 6
@@ -117,19 +103,18 @@ class TestSearch:
     def test_disjoint_search_and_juxtapose(self):
         status, insts = search_disjoint_simple_gdds(2, 6, 1, count=2)
         assert status is SearchStatus.FOUND and len(insts) == 2
-        union = juxtapose(insts)
-        assert union.lam == 2
+        # disjoint index-1 designs on the same groups add up to index 2
+        union = GddInstance(
+            groups=insts[0].groups,
+            blocks=tuple(sorted(insts[0].blocks + insts[1].blocks)),
+            lam=2,
+        )
         assert verify_gdd(union)
 
     def test_disjoint_beyond_capacity(self):
         # lam = 2 = g(u-2) uses every transverse triple of 2^3 already
         status, insts = search_disjoint_simple_gdds(2, 3, 2, count=2)
         assert status is not SearchStatus.FOUND and len(insts) == 1
-
-    def test_juxtapose_rejects_overlap(self):
-        status, inst, _ = search_simple_gdd(1, 7, 1)
-        with pytest.raises(DisjointnessError):
-            juxtapose([inst, inst])
 
     def test_assemble_hard_index(self):
         # (3,5)-GDD(2^6): slow for plain backtracking, fast by

@@ -25,14 +25,25 @@ from triplepack.leave import (
     construct_r_leave,
     verify_certificate,
 )
-from triplepack.multigraph import (
-    Multigraph,
-    complete,
-    overlay,
-    realize_degree_sequence,
-    scale,
-)
+from triplepack.multigraph import Multigraph, complete, realize_degree_sequence
 from triplepack.params import CaseLabel, classify, johnson_bound, upper_bound
+
+
+def scale(g: Multigraph, lam: int) -> Multigraph:
+    """Reference: every multiplicity times lam."""
+    return Multigraph(
+        g.n, base=g.base * lam, mult_map={p: m * lam for p, m in g.mult_map.items()}
+    )
+
+
+def overlay(g: Multigraph, h: Multigraph) -> Multigraph:
+    """Reference: the pointwise sum of two graphs on one vertex set."""
+    pairs = set(g.mult_map) | set(h.mult_map)
+    return Multigraph(
+        g.n,
+        base=g.base + h.base,
+        mult_map={p: g.mult_map.get(p, g.base) + h.mult_map.get(p, h.base) for p in pairs},
+    )
 
 
 class TestDesign:

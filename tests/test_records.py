@@ -16,7 +16,7 @@ from triplepack.decomp import (
 )
 from triplepack.dioph import DiophInstance
 from triplepack.errors import InvalidParameterError
-from triplepack.gdd import GddInstance, GddShape, search_simple_gdd
+from triplepack.gdd import GddInstance, search_simple_gdd
 from triplepack.leave import EvidenceItem, LeaveCertificate, _Gadget, achieved_lower_bound
 from triplepack.multigraph import LeaveConditionReport, Multigraph, check_leave_conditions, complete
 from triplepack.oracle import BlockCollection, SearchReport, max_packing
@@ -33,7 +33,6 @@ def _instances():
         clique_reduction(complete(7, 2), 3, 1, 2),
         StallEvent(2, 5, (2, 5)),
         DiophInstance(((4, 1),), ((5, (1, 2)),)),
-        GddShape(((2, 3),), 3, 2),
         search_simple_gdd(1, 7, 1)[1],
         cert.evidence[0],
         cert,
@@ -56,7 +55,7 @@ def _fields(r) -> dict:
 def test_every_record_type_is_covered():
     want = {
         Multigraph, LeaveConditionReport, CaseData, DecompositionResult, ReductionTrace,
-        StallEvent, DiophInstance, GddShape, GddInstance, EvidenceItem, LeaveCertificate,
+        StallEvent, DiophInstance, GddInstance, EvidenceItem, LeaveCertificate,
         _Gadget, BlockCollection, SearchReport,
     }
     assert {type(r) for r in RECORDS} == want
@@ -100,7 +99,7 @@ def test_assignment_raises_attribute_error(record):
         delattr(record, name)
 
 
-PLAIN = [r for r in RECORDS if type(r) not in (Multigraph, DiophInstance, GddShape)]
+PLAIN = [r for r in RECORDS if type(r) not in (Multigraph, DiophInstance)]
 
 
 @pytest.mark.parametrize("record", PLAIN, ids=[type(r).__name__ for r in PLAIN])
@@ -117,8 +116,9 @@ def test_equality_is_field_wise():
     every_pair = dict.fromkeys([(0, 1), (0, 2), (1, 2)], 1)
     assert Multigraph(3, base=1) == Multigraph(3, base=0, mult_map=every_pair)
     assert Multigraph(3, base=1) != Multigraph(3, base=2)
-    assert GddShape(((2, 3),), 3, 2) == GddShape(group_sizes=((2, 3),), k=3, lam=2)
-    assert GddShape(((2, 3),), 3, 2) != GddShape(((2, 3),), 3, 3)
+    groups = ((0,), (1,), (2,))
+    assert GddInstance(groups, (), 1) == GddInstance(groups=groups, blocks=(), lam=1, k=3)
+    assert GddInstance(groups, (), 1) != GddInstance(groups, (), 2)
 
 
 def test_defaults():
@@ -133,8 +133,6 @@ def test_validating_records_validate_on_replace():
     assert inst._replace(equalities=[[9, 2]]).equalities == ((9, 2),)
     with pytest.raises(InvalidParameterError):
         inst._replace(avoidances=((3, (1,)),))  # avoidance modulus below 4
-    with pytest.raises(InvalidParameterError):
-        GddShape(((2, 3),), 3, 2)._replace(lam=0)
 
 
 def test_multigraph_copies_and_pickles():
