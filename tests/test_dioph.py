@@ -48,6 +48,14 @@ class TestCrt:
         # the solver's answer is the least POSITIVE representative
         assert solve_avoidance(DiophInstance(equalities=((7, 0),), avoidances=())) == 7
 
+    def test_rejects_common_factor(self):
+        # the fold needs coprime moduli; an instance whose moduli share a
+        # prime is refused before any fold, at small and at large bases
+        with pytest.raises(InvalidParameterError, match="distinct bases"):
+            DiophInstance(equalities=((4, 1), (8, 5)), avoidances=())
+        with pytest.raises(InvalidParameterError, match="distinct bases"):
+            DiophInstance(equalities=((M31, 1),), avoidances=((M31**2, (0,)),))
+
     @given(st.integers(min_value=0, max_value=10_000))
     def test_roundtrip(self, x):
         moduli = (7, 9, 11, 13)

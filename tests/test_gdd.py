@@ -56,8 +56,20 @@ class TestPredicates:
         assert not simple_gdd_exists(2, 3, 3)  # parity: lam*g*(u-1) odd
         assert not simple_gdd_exists(1, 7, 6)  # lam above g(u-2)
 
+    def test_block_count(self):
+        # a (3, lam)-GDD(g^u) has lam * g^2 * u(u-1) / 6 blocks
+        for g, u, lam, count in [(1, 7, 1, 7), (2, 3, 2, 8)]:
+            status, inst, _ = search_simple_gdd(g, u, lam)
+            assert status is SearchStatus.FOUND and len(inst.blocks) == count
+        assert not simple_gdd_exists(1, 5, 1)  # 20/6 blocks is no count
+
 
 class TestShapes:
+    def test_shape_order(self):
+        groups = ((0, 1), (2, 3), (4, 5))
+        assert GddInstance(groups, (), 1).v == 6
+        assert not verify_gdd(GddInstance(((0, 1),), (), 1))  # a single group is not a GDD
+
     def test_gadget_multigraph(self):
         g = gadget_multigraph(2, 3, 2)
         assert g.n == 6
@@ -115,6 +127,13 @@ class TestSearch:
         # lam = 2 = g(u-2) uses every transverse triple of 2^3 already
         status, insts = search_disjoint_simple_gdds(2, 3, 2, count=2)
         assert status is not SearchStatus.FOUND and len(insts) == 1
+
+    def test_juxtapose_rejects_overlap(self):
+        # a design laid over itself repeats every block: not a simple GDD
+        status, inst, _ = search_simple_gdd(1, 7, 1)
+        assert status is SearchStatus.FOUND
+        twice = inst._replace(blocks=tuple(sorted(inst.blocks * 2)), lam=2)
+        assert not verify_gdd(twice)
 
     def test_assemble_hard_index(self):
         # (3,5)-GDD(2^6): slow for plain backtracking, fast by

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from triplepack import jsonio
 from triplepack.errors import InfeasibleSequenceError, InvalidParameterError
+from triplepack.gdd import gadget_multigraph
+from triplepack.leave import construct_r_leave
 from triplepack.multigraph import (
     Multigraph,
     _havel_hakimi,
@@ -291,6 +293,21 @@ class TestBuilders:
         assert g.degree(9) == 0
         assert g.edge_count() == 3 + 6
         assert g.mult(0, 1) == 1 and g.mult(3, 4) == 1 and g.mult(2, 3) == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete(6, 2),
+        lambda: disjoint_union([complete(3, 1), complete(4, 1)], pad_to_n=10),
+        lambda: gadget_multigraph(2, 3, 2),
+        lambda: construct_r_leave(9, 5),
+    ], ids=["complete", "disjoint_union", "gadget_multigraph", "construct_r_leave"])
+    def test_builders_do_not_call_validate(self, monkeypatch, build):
+        # validate() cannot fail on a graph that builds (its degree identity
+        # holds by construction), so no builder pays for it
+        def refuse(self):
+            raise AssertionError("validate() called")
+
+        monkeypatch.setattr(Multigraph, "validate", refuse)
+        assert build() is not None
 
     def test_disjoint_union_too_small(self):
         with pytest.raises(InvalidParameterError):
