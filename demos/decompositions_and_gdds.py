@@ -19,7 +19,6 @@ from triplepack.gdd import (
     assemble_simple_gdd,
     gadget_multigraph,
     lgdd_exists,
-    search_disjoint_simple_gdds,
     search_simple_gdd,
     verify_gdd,
 )
@@ -66,8 +65,9 @@ print(f"lgdd_exists(1, 9, 1) = {lgdd_exists(1, 9, 1)}")
 # GDD with a higher index.  This is how big-lambda witnesses are
 # assembled without a big search.
 # ---------------------------------------------------------------------
-status, insts = search_disjoint_simple_gdds(2, 6, 1, count=2)
-print(f"\ntwo disjoint (3,1)-GDDs on 2^6: {status.value} ({len(insts)} found)")
+pair = assemble_simple_gdd(2, 6, 2)
+print(f"\ntwo disjoint (3,1)-GDDs on 2^6 as a (3,2)-GDD: {verify_gdd(pair)} "
+      f"({len(pair.blocks)} blocks)")
 
 big = assemble_simple_gdd(2, 6, 5)
 print(f"assembled (3,5)-GDD on 2^6: {big is not None and verify_gdd(big)}")

@@ -200,9 +200,12 @@ def _cmd_verify(args) -> int:
 
         ok = verify_packing(jsonio.packing_from_dict(data))
     elif kind == "multigraph":
-        g = jsonio.multigraph_from_dict(data)
-        g.validate()
-        ok = True
+        # a bare graph claims nothing: its degree identity holds for every
+        # graph that builds
+        raise InvalidParameterError(
+            "a multigraph carries no claim to verify; "
+            "`triplepack decompose --input FILE` searches for a triangle decomposition"
+        )
     elif kind == "dioph":
         # the claim is the recorded solution; an instance without one
         # claims nothing

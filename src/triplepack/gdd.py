@@ -19,7 +19,6 @@ from .decomp import (
     _find,
     check_budget,
     dehon_conditions,
-    find_triangle_decomposition,
     transverse_triples,
     verify_decomposition,
 )
@@ -152,28 +151,6 @@ def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
     return SearchStatus.FOUND, inst, res.nodes
 
 
-def search_disjoint_simple_gdds(
-    g: int, u: int, lam: int, count: int, budget: int | None = None
-):
-    """Greedily search ``count`` pairwise disjoint simple (3, lam)-GDD(g^u)s
-    (each new search forbids all previously used blocks).  Returns
-    (status, tuple-of-instances); NONE here is not an exhaustive proof."""
-    instances = []
-    used = ()
-    for _ in range(count):
-        res = find_triangle_decomposition(
-            gadget_multigraph(g, u, lam), budget=budget, forbidden=used
-        )
-        if res.status is not SearchStatus.FOUND:
-            return res.status, tuple(instances)
-        inst = GddInstance(
-            groups=_contiguous_groups(g, u), blocks=res.cliques, lam=lam
-        )
-        instances.append(inst)
-        used = used + res.cliques
-    return SearchStatus.FOUND, tuple(instances)
-
-
 def assemble_simple_gdd(
     g: int, u: int, lam: int, budget: int | None = None
 ) -> GddInstance | None:
@@ -185,35 +162,49 @@ def assemble_simple_gdd(
     complemented within the transverse triples (every cross pair lies in
     exactly cap = g(u-2) of them); exact search.  Returns None only when
     every route failed inconclusively; when simple_gdd_exists is false
-    the caller should not ask.
+    the caller should not ask.  A negative ``budget`` is refused.  The
+    returned design is checked once, by ``verify_gdd``.
     """
+    check_budget(budget)
     cap = g * (u - 2)
     if not 0 <= lam <= cap:
         return None
     groups = _contiguous_groups(g, u)
     targets = sorted(((lam, False), (cap - lam, True)), key=lambda t: t[0])
     for target, complement in targets:
-        if target == 0:
-            blocks = tuple(transverse_triples(groups)) if complement else ()
-        else:
-            base = next(
-                (b for b in range(1, target + 1)
-                 if target % b == 0 and simple_gdd_exists(g, u, b)),
-                None,
-            )
-            if base is None:
-                continue
-            status, insts = search_disjoint_simple_gdds(
-                g, u, base, target // base, budget=budget
-            )
-            if status is not SearchStatus.FOUND:
-                continue
-            blocks = tuple(sorted(b for inst in insts for b in inst.blocks))
-            if complement:
-                used = set(blocks)
-                blocks = tuple(t for t in transverse_triples(groups) if t not in used)
+        blocks = _juxtaposed_blocks(g, u, target, budget)
+        if blocks is None:
+            continue
+        if complement:
+            used = set(blocks)
+            blocks = tuple(t for t in transverse_triples(groups) if t not in used)
         inst = GddInstance(groups=groups, blocks=blocks, lam=lam)
         if verify_gdd(inst):
             return inst
     status, inst, _ = search_simple_gdd(g, u, lam, budget=budget)
     return inst if status is SearchStatus.FOUND else None
+
+
+def _juxtaposed_blocks(g: int, u: int, lam: int, budget: int | None):
+    """The sorted blocks of lam/b pairwise disjoint simple (3, b)-GDD(g^u)s
+    on contiguous groups, b the least divisor of lam at which one exists;
+    each is searched with the blocks of those before it forbidden.  None
+    when there is no such b or a search fails (not an exhaustive proof).
+    The union is not verified here: the caller checks the design it
+    builds from it, once."""
+    if lam == 0:
+        return ()
+    base = next(
+        (b for b in range(1, lam + 1) if lam % b == 0 and simple_gdd_exists(g, u, b)),
+        None,
+    )
+    if base is None:
+        return None
+    gadget = gadget_multigraph(g, u, base)
+    used = ()
+    for _ in range(lam // base):
+        res = _find(gadget, budget, used)
+        if res.status is not SearchStatus.FOUND:
+            return None
+        used += res.cliques
+    return tuple(sorted(used))

@@ -31,13 +31,14 @@ from math import comb, gcd
 
 from .decomp import dehon_conditions, verify_decomposition
 from .errors import (
+    InfeasibleSequenceError,
     InvalidParameterError,
     NTooSmallError,
     ParameterSearchExhaustedError,
     TriplepackError,
     WrongCaseError,
 )
-from .gdd import assemble_simple_gdd, gadget_multigraph, simple_gdd_exists
+from .gdd import SEARCH_CAP, assemble_simple_gdd, gadget_multigraph, simple_gdd_exists
 from .multigraph import (
     Multigraph,
     _havel_hakimi,
@@ -193,17 +194,18 @@ def construct_r_leave(n: int, k: int) -> LeaveCertificate:
         degrees = None
         params = {"r": r, "gamma": 0, "gamma0": gamma0, "qhat": qhat}
     else:
-        seq = [gamma0] + [gamma] * (n - 1)
-        if not erdos_gallai_feasible(seq):
+        try:
+            pairs = _havel_hakimi([gamma0] + [gamma] * (n - 1))
+        except InfeasibleSequenceError:
             period = k * (k - 1) * (k - 2)
             need = n + period
             while not erdos_gallai_feasible([gamma0] + [gamma] * (need - 1)):
                 need += period
             what = f"degree sequence [{gamma0}, {gamma}^(n-1)] needs more vertices"
-            raise _too_small(n, k, need, what)
+            raise _too_small(n, k, need, what) from None
         # G' (Havel–Hakimi) is simple: each of its pairs sits at k - 2 + r
-        mult_map = dict.fromkeys(_havel_hakimi(seq), k - 2 + r)
-        # the composite has these degrees exactly when G' has degrees seq
+        mult_map = dict.fromkeys(pairs, k - 2 + r)
+        # the composite has these degrees exactly when G' has degrees [gamma0, gamma^(n-1)]
         rest = r * (n - 1)
         degrees = [(k - 2) * gamma0 + rest] + [(k - 2) * gamma + rest] * (n - 1)
         params = {"r": r, "gamma": gamma, "gamma0": gamma0}
@@ -292,9 +294,6 @@ class _Gadget(namedtuple("_Gadget", "g l u")):
         return self.g * self.u
 
 
-EXPLICIT_WITNESS_CAP = 12
-
-
 @cache
 def _gadget_candidates(k: int, p: int) -> tuple:
     """All (g, l) with g <= 3k, l <= k^2 whose gadget graph is a valid
@@ -327,7 +326,7 @@ def _gadget_witness(g: int, u: int, lam: int) -> tuple:
 
 def _gadget_evidence(c: _Gadget, k: int, copies: int) -> EvidenceItem:
     blocks = None
-    if c.order <= EXPLICIT_WITNESS_CAP:
+    if c.order <= SEARCH_CAP:  # the witness's fallback search refuses larger gadgets
         blocks = _gadget_witness(c.g, c.u, k - 2)
     return EvidenceItem(
         kind="simple-gdd", params=(c.g, c.u, k - 2), copies=copies, blocks=blocks

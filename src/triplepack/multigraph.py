@@ -309,12 +309,14 @@ def realize_degree_sequence(seq) -> Multigraph:
     """Deterministic Havel–Hakimi realization of a degree sequence.
 
     Returns a simple graph (all multiplicities <= 1) with exactly the
-    requested degrees, or raises InfeasibleSequenceError.  Ties are broken
+    requested degrees, or raises InfeasibleSequenceError: Havel–Hakimi
+    runs out of partners exactly when the sequence is not graphic, so it
+    decides realizability without an Erdős–Gallai test.  Ties are broken
     by smallest label first (see ``_havel_hakimi``), so the graph is fixed
     for a fixed input.
     """
     seq = list(seq)
-    if not erdos_gallai_feasible(seq):
+    if min(seq, default=0) < 0:  # a bucket index must not count from the end
         raise InfeasibleSequenceError(f"degree sequence not realizable: {seq}")
     g = Multigraph(len(seq), base=0, mult_map=dict.fromkeys(_havel_hakimi(seq), 1))
     if g.degrees() != seq:

@@ -1,0 +1,51 @@
+"""Smoke test of the bench harness: each layer's measuring step, run twice
+on this tree with one repeat, gives rows with answers and work counters,
+and the same answers both times."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare", ROOT / "bench" / "compare.py")
+compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare)
+
+# work counters that every operation of a kind reports, and those that
+# some operation of each layer reports (a counter that reads 0 is left out)
+KIND_COUNTERS = {
+    "clique_reduction": {"cliques", "stalls", "appearance"},
+    "find_triangle_decomposition": {"nodes"},
+    "search_simple_gdd": {"nodes"},
+    "max_packing": {"nodes"},
+    "import": {"package_modules", "stdlib_modules", "dataclasses", "inspect"},
+}
+LAYER_COUNTERS = {"desk": {"pairs", "scan_steps"}, "sweep": {"pairs"}, "cli": {"package_modules"}}
+
+
+@pytest.mark.parametrize("layer", sorted(compare.LAYERS))
+def test_measure_twice(layer):
+    first, second = (compare.run_side(ROOT, layer, seed=1, repeats=1) for _ in range(2))
+    assert [(r["op"], r["answer"]) for r in first] == [(r["op"], r["answer"]) for r in second]
+    timed = [r for r in first if r["ms"] is not None]
+    assert timed and all(r["answer"] is not None and r["ms"] > 0 for r in timed)
+    for row in timed:
+        assert KIND_COUNTERS.get(row["kind"], set()) <= row["work"].keys(), row
+    assert LAYER_COUNTERS[layer] <= {name for r in timed for name in r["work"]}
+    if layer == "cli":
+        assert all(r["answer"][0] == "ok" and r["work"]["package_modules"] >= 4 for r in timed)
+    if layer == "desk":
+        # the slowest desk tasks are kept as rows but not run
+        assert len(first) - len(timed) == 8
+
+
+def test_answers_gate_the_report():
+    rows = [{"kind": "k", "op": "a", "answer": 1, "work": {"nodes": 3}, "ms": 1.0}]
+    other = [{**rows[0], "work": {"nodes": 4}, "ms": 2.0}]
+    report = compare.compare({"parent": [rows], "change": [other]})
+    # work counters may move: they are reported, not gated
+    assert report["work_differs"] == ["a"] and report["total"]["ratio"] == 0.5
+    wrong = [{**rows[0], "answer": 2}]
+    with pytest.raises(compare.AnswersDiffer, match="a"):
+        compare.compare({"parent": [rows], "change": [wrong]})

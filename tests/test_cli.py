@@ -135,6 +135,14 @@ class TestDecompose:
         assert code == BAD_INPUT and out == ""
         assert err == f"error: expected a multigraph, got a {kind}\n"
 
+    def test_verify_refuses_a_bare_multigraph(self, tmp_path, capsys):
+        # a graph carries no claim: verify used to print "multigraph: ok"
+        path = tmp_path / "g.json"
+        path.write_text(jsonio.dumps(jsonio.multigraph_to_dict(complete(7, 1))))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == BAD_INPUT and out == ""
+        assert err.startswith("error:") and "decompose" in err
+
 
 class TestGdd:
     def test_predicates(self, capsys):

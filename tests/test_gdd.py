@@ -8,14 +8,16 @@ from pathlib import Path
 
 import pytest
 
+import triplepack.decomp as decomp_mod
+import triplepack.gdd as gdd_mod
 from triplepack.decomp import SearchStatus, verify_decomposition
 from triplepack.errors import InvalidParameterError
 from triplepack.gdd import (
     GddInstance,
+    _juxtaposed_blocks,
     assemble_simple_gdd,
     gadget_multigraph,
     lgdd_exists,
-    search_disjoint_simple_gdds,
     search_simple_gdd,
     simple_gdd_exists,
     simple_ts_exists,
@@ -112,21 +114,20 @@ class TestSearch:
         with pytest.raises(InvalidParameterError):
             search_simple_gdd(4, 4, 1)
 
-    def test_disjoint_search_and_juxtapose(self):
-        status, insts = search_disjoint_simple_gdds(2, 6, 1, count=2)
-        assert status is SearchStatus.FOUND and len(insts) == 2
-        # disjoint index-1 designs on the same groups add up to index 2
-        union = GddInstance(
-            groups=insts[0].groups,
-            blocks=tuple(sorted(insts[0].blocks + insts[1].blocks)),
-            lam=2,
-        )
+    def test_juxtaposed_disjoint_designs(self):
+        # two disjoint index-1 designs on the same groups add up to index 2
+        blocks = _juxtaposed_blocks(2, 6, 2, None)
+        assert len(blocks) == len(set(blocks)) == 2 * 20
+        union = GddInstance(groups=((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)),
+                            blocks=blocks, lam=2)
         assert verify_gdd(union)
+        assert assemble_simple_gdd(2, 6, 2) == union
 
-    def test_disjoint_beyond_capacity(self):
-        # lam = 2 = g(u-2) uses every transverse triple of 2^3 already
-        status, insts = search_disjoint_simple_gdds(2, 3, 2, count=2)
-        assert status is not SearchStatus.FOUND and len(insts) == 1
+    def test_juxtaposition_beyond_capacity(self):
+        # two index-1 designs of 2^3 use all 8 transverse triples, so a
+        # third disjoint one does not exist
+        assert len(_juxtaposed_blocks(2, 3, 2, None)) == 8
+        assert _juxtaposed_blocks(2, 3, 3, None) is None
 
     def test_juxtapose_rejects_overlap(self):
         # a design laid over itself repeats every block: not a simple GDD
@@ -142,6 +143,24 @@ class TestSearch:
         assert inst is not None
         assert verify_gdd(inst)
         assert verify_decomposition(gadget_multigraph(2, 6, 5), inst.blocks)
+
+    def test_assembly_verifies_once(self, monkeypatch):
+        # only the returned design is checked, not the designs it is made of
+        calls = []
+        check = decomp_mod.verify_decomposition
+
+        def counted(g, cliques):
+            calls.append((g.n, g.edge_count()))
+            return check(g, cliques)
+
+        for module in (gdd_mod, decomp_mod):
+            monkeypatch.setattr(module, "verify_decomposition", counted)
+        assert assemble_simple_gdd(2, 6, 5) is not None
+        assert calls == [(12, 300)]
+
+    def test_assemble_negative_budget_refused(self):
+        with pytest.raises(InvalidParameterError):
+            assemble_simple_gdd(2, 6, 5, budget=-1)
 
     def test_assemble_extremes(self):
         # lam = cap: all transverse triples

@@ -68,7 +68,9 @@ class TestCaseR:
         assert cert.conditions().all_pass()
         assert cert.parameters["qhat"] == 6
 
-    def test_one_erdos_gallai_run_per_certificate(self, monkeypatch):
+    def test_no_erdos_gallai_run_on_a_graphic_sequence(self, monkeypatch):
+        # Havel–Hakimi decides realizability; Erdős–Gallai only looks for
+        # the smallest workable n of a refused class
         import triplepack.leave as leave_mod
         import triplepack.multigraph as mg
 
@@ -84,7 +86,10 @@ class TestCaseR:
         for n, k in ((1999, 5), (12, 5), (1000, 8)):
             calls.clear()
             construct_r_leave(n, k)
-            assert calls == [n], (n, k)
+            assert calls == [], (n, k)
+        with pytest.raises(NTooSmallError):
+            construct_r_leave(7, 5)
+        assert calls == [67]
 
     def test_infeasible_sequence_min_n(self):
         # the degree sequence is not graphical at these n; the smallest

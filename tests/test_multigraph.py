@@ -348,6 +348,27 @@ class TestDegreeSequences:
         except InfeasibleSequenceError:
             assert not feasible
 
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(min_value=0, max_value=10), max_size=11))
+    def test_havel_hakimi_raises_iff_erdos_gallai_refuses(self, seq):
+        try:
+            pairs = _havel_hakimi(seq)
+        except InfeasibleSequenceError:
+            assert not erdos_gallai_feasible(seq)
+            return
+        assert erdos_gallai_feasible(seq)
+        assert len(set(pairs)) == len(pairs)
+        degrees = [0] * len(seq)
+        for u, v in pairs:
+            assert 0 <= u < v < len(seq)
+            degrees[u] += 1
+            degrees[v] += 1
+        assert degrees == seq
+
+    def test_realization_refuses_negative_degrees(self):
+        with pytest.raises(InfeasibleSequenceError):
+            realize_degree_sequence([-1, 1, 0])
+
     @settings(max_examples=200)
     @given(st.integers(min_value=1, max_value=14), st.data())
     def test_havel_hakimi_matches_the_reference_on_graphic_sequences(self, n, data):
