@@ -27,10 +27,14 @@ alternating from round to round (an even number of rounds lets each side
 go first equally often).  A process first runs every operation
 once, untimed, for its answer and its work counters, then times each
 operation ``--repeats`` times.  An operation's time is the fastest of its
-repeats over the host's slowdown (the fastest of three runs of the
-benchmark's reference loop just before them, over the loop's quiet-host
-time), then the median over the ``--rounds`` rounds: the host's speed
-drifts by up to 2x within a minute.
+repeats over the host's slowdown, then the median over the ``--rounds``
+rounds: the host's speed drifts by up to 2x within a minute.  The
+slowdown is the fastest of three runs of a probe, timed just before the
+operation, over the probe's quiet-host time.  The desk and the sweep probe
+with the benchmark's reference loop; the cli probes with a bare
+interpreter start (``python3 -c pass`` in the commands' environment),
+whose time also follows the cost of starting a process, which a loop in
+the measuring process does not see.
 
 Answers gate the comparison: certificate bytes or refusal, search status
 and triangle digest, packing status and value, the avoidance solution, and
@@ -72,6 +76,9 @@ UNTIMED_PACKINGS = {(9, 4, 3), (9, 5, 3), (10, 5, 3)}  # each slower than any ti
 UNTIMED_FNS = {"search_leave_nonexistence"}
 SLOWEST = 10
 WATCHED = ("dataclasses", "inspect")  # stdlib modules the package should not need
+# a bare interpreter start's lower quartile on a quiet host: 2-vCPU KVM
+# guest, CPython 3.11.7, PYTHONPATH set, 30 starts
+BARE_START_QUIET_S = 0.075
 
 
 def digest(obj) -> str:
@@ -150,18 +157,20 @@ def sweep_ops(workloads, api, seed: int, tmp: str):
         yield case, f"certificate n={n} k={k}", partial(sweep.certify, n, k), partial(describe, n, k)
 
 
-def cli_ops(workloads, api, seed: int, tmp: str):
+def fresh(args, tmp: str, importtime=False):
+    """``python3 ARGS`` in a fresh interpreter in ``tmp``, on whichever
+    ``triplepack`` is importable, as a shell user starts the CLI."""
     import triplepack
 
     env = {**os.environ, "PYTHONPATH": str(Path(triplepack.__file__).parent.parent),
            "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *(["-X", "importtime"] if importtime else []), *args],
+                          cwd=tmp, env=env, capture_output=True, text=True, timeout=300)
 
-    def fresh(args, probe=False):
-        return subprocess.run([sys.executable, *(["-X", "importtime"] if probe else []), *args],
-                              cwd=tmp, env=env, capture_output=True, text=True, timeout=300)
 
+def cli_ops(workloads, api, seed: int, tmp: str):
     def describe(args, check):
-        proc = fresh(args, probe=True)
+        proc = fresh(args, tmp, importtime=True)
         names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line}
         stdlib = {name for name in names if name.split(".")[0] in sys.stdlib_module_names}
         work = {"package_modules": sum(name.split(".")[0] == "triplepack" for name in names),
@@ -179,10 +188,18 @@ def cli_ops(workloads, api, seed: int, tmp: str):
     for argv, check in [(None, None), *script]:
         args = ["-c", "import triplepack.cli"] if argv is None else ["-m", "triplepack.cli", *argv]
         label = "import" if argv is None else " ".join(os.path.basename(a) for a in argv)
-        yield label.split()[0], label, partial(fresh, args), partial(describe, args, check)
+        yield label.split()[0], label, partial(fresh, args, tmp), partial(describe, args, check)
 
 
 LAYERS = {"desk": desk_ops, "sweep": sweep_ops, "cli": cli_ops}
+
+
+def host_probe(layer: str, workloads, run, tmp: str) -> tuple:
+    """The probe that the layer's times are corrected with, and its
+    quiet-host time in seconds."""
+    if layer == "cli":
+        return partial(fresh, ["-c", "pass"], tmp), BARE_START_QUIET_S
+    return workloads.reference_loop, run.REFERENCE_QUIET_S
 
 
 @contextlib.contextmanager
@@ -216,6 +233,7 @@ def measure(layer: str, seed: int, repeats: int) -> list:
     api = workloads.load_api()
     with tempfile.TemporaryDirectory() as tmp:
         ops = list(LAYERS[layer](workloads, api, seed, tmp))
+        probe, quiet_s = host_probe(layer, workloads, run, tmp)
         rows = []
         for kind, label, call, describe in ops:  # untimed: fills caches too
             answer, work = None, {}
@@ -230,17 +248,17 @@ def measure(layer: str, seed: int, repeats: int) -> list:
         for row, (_kind, _label, call, _describe) in zip(rows, ops):
             if call is None:
                 continue
-            reference = []
+            probe_s = []
             for _ in range(3):
                 start = time.perf_counter()
-                workloads.reference_loop()
-                reference.append(time.perf_counter() - start)
+                probe()
+                probe_s.append(time.perf_counter() - start)
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
                 call()
                 best = min(best, time.perf_counter() - start)
-            row["ms"] = best / min(reference) * run.REFERENCE_QUIET_S * 1e3
+            row["ms"] = best / min(probe_s) * quiet_s * 1e3
     return rows
 
 

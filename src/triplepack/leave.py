@@ -84,31 +84,54 @@ class LeaveCertificate(
 
 def verify_certificate(cert: LeaveCertificate) -> bool:
     """The one check of a certificate, run by every constructor and by
-    ``triplepack verify``: the leave conditions hold, xi is at most
-    upper_bound(n, k), and every explicit simple-GDD witness decomposes
-    its gadget.  Raises InvalidParameterError unless n > k >= 4, the range
-    of ``classify``."""
-    if not cert.n > cert.k >= 4:
-        raise InvalidParameterError(f"need n > k >= 4, got {(cert.n, cert.k)}")
+    ``triplepack verify``: the case is that of (n, k); the evidence is the
+    one reduction item on (n, r, k - 2) when r != 0, else items that hold
+    their existence predicates, whose components fit in n vertices and
+    carry the graph's edges (the graph is not compared with them); the
+    leave conditions hold; xi <= upper_bound(n, k); and every explicit
+    simple-GDD witness decomposes its gadget.  Raises
+    InvalidParameterError unless n > k >= 4, the range of ``classify``."""
+    n, k = cert.n, cert.k
+    if not n > k >= 4:
+        raise InvalidParameterError(f"need n > k >= 4, got {(n, k)}")
+    label, data = classify(n, k)
+    if data.r:
+        evidence_ok = cert.evidence == (EvidenceItem("reduction", (n, data.r, k - 2), 1),)
+    else:
+        sizes = [_component_size(e) for e in cert.evidence]
+        evidence_ok = bool(sizes) and None not in sizes and (
+            sum(v for v, _ in sizes) <= n and sum(m for _, m in sizes) == cert.graph.edge_count()
+        )
     return (
-        cert.conditions().all_pass()
-        and cert.xi <= upper_bound(cert.n, cert.k)
+        cert.case is label
+        and evidence_ok
+        and cert.conditions().all_pass()
+        and cert.xi <= upper_bound(n, k)
         and all(
-            _witness_fits(cert.n, *e.params, len(e.blocks))
-            and verify_decomposition(gadget_multigraph(*e.params), e.blocks)
+            verify_decomposition(gadget_multigraph(*e.params), e.blocks)
             for e in cert.evidence
             if e.kind == "simple-gdd" and e.blocks
         )
     )
 
 
-def _witness_fits(n: int, g: int, u: int, lam: int, blocks: int) -> bool:
-    """Whether a witness for the gadget g^u at index lam can be checked:
-    the gadget has at most n vertices and there is one block for each
-    three of its C(u, 2) g^2 lam edges.  Run before the gadget is built,
-    whose size is only bounded by the parameters; a parameter below 1 is
-    left to ``gadget_multigraph`` to refuse."""
-    return min(g, u, lam) < 1 or (g * u <= n and 3 * blocks == comb(u, 2) * g * g * lam)
+def _component_size(e: EvidenceItem):
+    """(vertices, edges) of the components an r = 0 evidence item names,
+    copies included, or None unless it holds its existence predicate (and
+    a witness has one block per three edges); "empty" names none."""
+    try:
+        if e.kind == "dehon":
+            m, lam = e.params
+            ok, size = dehon_conditions(m, lam), (m, comb(m, 2) * lam)
+        elif e.kind == "simple-gdd":
+            g, u, lam = e.params
+            size = (g * u, comb(u, 2) * g * g * lam)
+            ok = simple_gdd_exists(g, u, lam) and (not e.blocks or 3 * len(e.blocks) == size[1])
+        else:
+            return (0, 0) if (e.kind, e.params, e.copies) == ("empty", (), 0) else None
+    except ValueError:  # a parameter refused, or the wrong arity
+        return None
+    return (e.copies * size[0], e.copies * size[1]) if ok and e.copies >= 1 else None
 
 
 def _require(ok: bool, what: str) -> None:

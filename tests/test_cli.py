@@ -86,6 +86,26 @@ class TestConstructAndVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == FAIL and "certificate: FAILED" in out
 
+    @pytest.mark.parametrize("tamper", [
+        {"case": "design"},
+        {"case": "p-nonzero"},
+        {"case": "r-nonzero"},
+        {"evidence": []},
+        {"evidence": [{"kind": "dehon", "params": [4, 100], "copies": 99}]},
+        {"evidence": [{"kind": "reduction", "params": [74, 1, 3], "copies": 1}]},
+        {"evidence": [{"kind": "dehon", "params": [0, 3], "copies": 4}]},
+        {"evidence": [{"kind": "simple-gdd", "params": [9, 3], "copies": 4}]},
+    ], ids=["design", "p-nonzero", "r-nonzero", "no-evidence", "dehon-refused",
+            "reduction", "parameter-refused", "wrong-arity"])
+    def test_relabelled_case_or_replaced_evidence_fails(self, tmp_path, capsys, tamper):
+        # the leave conditions of (74, 5) still hold; its case label or
+        # evidence no longer matches (74, 5)
+        path = tmp_path / "cert.json"
+        run(capsys, "construct", "--n", "74", "--k", "5", "--out", str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), **tamper}))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == FAIL and out.strip() == "certificate: FAILED"
+
     def test_construct_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "construct", "--n", "74", "--k", "5", "--out", str(a))
@@ -215,11 +235,15 @@ class TestDioph:
         assert code == FAIL and printed.strip() == "dioph: FAILED"
 
     def test_modulus_above_primality_bound(self, tmp_path, capsys):
-        # 2**89 - 1 is prime, but above the proven Miller-Rabin bound
+        # 2**89 - 1 is prime, above the bound below which Miller-Rabin with
+        # the bases 2..41 proves primality; moduli need only be coprime
         path = tmp_path / "d.json"
         path.write_text(json.dumps({"equalities": [[2**89 - 1, 1]]}))
+        code, out, _ = run(capsys, "dioph", "--input", str(path))
+        assert code == OK and json.loads(out)["solution"] == 1
+        path.write_text(json.dumps({"equalities": [[6, 1], [9, 4]]}))
         code, _, err = run(capsys, "dioph", "--input", str(path))
-        assert code == BAD_INPUT and "Miller-Rabin" in err
+        assert code == BAD_INPUT and "not coprime" in err
 
 
 class TestBrute:

@@ -1,4 +1,4 @@
-"""The CRT fold, the prime-power test on moduli, and the
+"""The CRT fold, the coprimality check on moduli, and the
 congruence/avoidance solver."""
 
 import os
@@ -24,16 +24,28 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
-def accepted(m: int) -> bool:
-    """Whether DiophInstance takes m as a modulus, that is, whether m is a
-    prime power; any other refusal propagates."""
+def accepted(*moduli: int) -> bool:
+    """Whether DiophInstance takes these moduli, as equalities on residue
+    0, that is, whether they are pairwise coprime; any other refusal
+    propagates."""
     try:
-        DiophInstance(equalities=((m, 0),), avoidances=())
+        DiophInstance(equalities=[(m, 0) for m in moduli], avoidances=())
     except InvalidParameterError as exc:
-        if "not a prime power" in str(exc):
+        if "not coprime" in str(exc):
             return False
         raise
     return True
+
+
+def prime_power(m: int) -> bool:
+    p = next(d for d in range(2, m + 1) if m % d == 0)
+    while m % p == 0:
+        m //= p
+    return m == 1
+
+
+def pairwise_coprime(moduli) -> bool:
+    return all(gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[i + 1:])
 
 
 class TestCrt:
@@ -50,11 +62,14 @@ class TestCrt:
 
     def test_rejects_common_factor(self):
         # the fold needs coprime moduli; an instance whose moduli share a
-        # prime is refused before any fold, at small and at large bases
-        with pytest.raises(InvalidParameterError, match="distinct bases"):
+        # factor is refused before any fold, at small and at large moduli
+        # and when neither modulus is a prime power
+        with pytest.raises(InvalidParameterError, match="not coprime"):
             DiophInstance(equalities=((4, 1), (8, 5)), avoidances=())
-        with pytest.raises(InvalidParameterError, match="distinct bases"):
+        with pytest.raises(InvalidParameterError, match="not coprime"):
             DiophInstance(equalities=((M31, 1),), avoidances=((M31**2, (0,)),))
+        with pytest.raises(InvalidParameterError, match="not coprime"):
+            DiophInstance(equalities=((6, 1), (9, 4)), avoidances=())
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_roundtrip(self, x):
@@ -66,15 +81,21 @@ class TestCrt:
 
 
 class TestPrimePowers:
+    """Moduli need not be prime powers: only coprimality is checked."""
+
     def test_is_prime_power(self):
+        # prime powers and composites alike, as long as they are coprime
         assert accepted(8) and accepted(27) and accepted(13)
-        assert not accepted(1) and not accepted(12)
-        assert not accepted(1009 * M31**2)  # a small factor and a large cofactor
+        assert accepted(12) and accepted(6, 35, 143) and accepted(8, 27, 25, 77)
+        assert not accepted(12, 18) and not accepted(6, 35, 143, 91)
+        assert accepted(1009 * M31**2, 2 * M61)  # a small factor and a large cofactor
+        with pytest.raises(InvalidParameterError, match="< 2"):
+            accepted(1)
 
     @pytest.mark.parametrize("call, expected", [
         (lambda: accepted(M61), True),
         (lambda: accepted(M31**3), True),
-        (lambda: accepted(M31 * M61), False),
+        (lambda: accepted(M31 * M61, M61**2), False),
         (lambda: DiophInstance(((M31, 1),), ((M61, (0,)),)).avoidances, ((M61, (0,)),)),
         (lambda: DiophInstance(((1009, 1),), ((M31**2, (0,)),)).avoidances, ((M31**2, (0,)),)),
     ])
@@ -83,22 +104,31 @@ class TestPrimePowers:
         assert call() == expected
         assert time.perf_counter() - start < 1.0
 
-    def test_probable_prime_above_proven_bound_refused(self):
-        with pytest.raises(InvalidParameterError, match="cannot prove"):
-            accepted(M89)
-        with pytest.raises(InvalidParameterError):
-            DiophInstance(equalities=(), avoidances=((M89, (1,)),))
-        # compositeness is proven at any size
-        assert not accepted(2 * M89)
+    def test_huge_moduli_solve(self):
+        # no primality test limits the moduli
+        assert solve_avoidance(DiophInstance(equalities=((M89, 1),), avoidances=())) == 1
+        inst = DiophInstance(equalities=((2 * M89, 1),), avoidances=((M61, (1,)),))
+        assert solve_avoidance(inst) == 2 * M89 + 1
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(2, 60), st.booleans()), max_size=6))
+    def test_accepted_iff_pairwise_coprime(self, drawn):
+        # any moduli of the right size, each an equality or (from 4 up)
+        # an avoidance: accepted exactly when a gcd oracle finds them
+        # pairwise coprime
+        eqs = [(m, m - 1) for m, avoid in drawn if not (avoid and m >= 4)]
+        avs = [(m, (0,)) for m, avoid in drawn if avoid and m >= 4]
+        try:
+            DiophInstance(equalities=eqs, avoidances=avs)
+        except InvalidParameterError as exc:
+            assert "not coprime" in str(exc)
+            ok = False
+        else:
+            ok = True
+        assert ok == pairwise_coprime([m for m, _ in drawn])
 
 
 class TestAgainstSympy:
-    @settings(max_examples=300)
-    @given(st.integers(min_value=1, max_value=10**12 - 1))
-    def test_factor(self, sympy, m):
-        # m is a prime power exactly when its factorisation has one prime
-        assert accepted(m) == (len(sympy.factorint(m)) == 1)
-
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.integers(1, 10**4), st.integers(-10**6, 10**6)),
                     min_size=1, max_size=6))
@@ -114,13 +144,13 @@ class TestAgainstSympy:
 
 
 class TestInstanceValidation:
-    def test_four_tuple_form(self):
-        inst = DiophInstance(equalities=(), avoidances=((7, 1, 2, 3),))
-        assert inst.avoidances == ((7, (1, 2, 3)),)
-
     def test_rejects_composite_modulus(self):
-        with pytest.raises(InvalidParameterError):
-            DiophInstance(equalities=((6, 1),), avoidances=())
+        # a composite modulus is refused only for a factor it shares
+        assert solve_avoidance(DiophInstance(equalities=((6, 1),), avoidances=())) == 1
+        inst = DiophInstance(equalities=((6, 5),), avoidances=((35, (5, 11)),))
+        assert solve_avoidance(inst) == 17
+        with pytest.raises(InvalidParameterError, match="not coprime"):
+            DiophInstance(equalities=((6, 1),), avoidances=((15, (1,)),))
 
     def test_rejects_shared_base(self):
         with pytest.raises(InvalidParameterError):
@@ -135,7 +165,7 @@ class TestInstanceValidation:
         (((4.7, 1),), ()),
         (((True, 0),), ()),
         (((4, 1),), ((7, (1, 2.0)),)),
-        ((), ((7, 1.5, 2, 3),)),
+        ((), ((7, (1.5, 2, 3)),)),
         ((), ((7.0, (1,)),)),
         ((), ((5, (False,)),)),
     ])
@@ -171,27 +201,59 @@ def instances(draw):
     return DiophInstance(equalities=tuple(eqs), avoidances=tuple(avs))
 
 
+def check_least_in_class(inst, scan_up_to=10**5) -> bool:
+    """Assert that solve_avoidance gives a solution within N'(F + 2), and
+    when that bound is at most ``scan_up_to`` that a scan of 1, 2, ...
+    finds no smaller member of the class.  The class: every equality, and
+    each avoidance modulus below the window F + 1 pinned to its least
+    allowed residue.  True when the scan ran."""
+    forbidden = sum(len(f) for _, f in inst.avoidances)
+    pinned = [(q, next(e for e in range(q) if e not in f))
+              for q, f in inst.avoidances if q < forbidden + 1]
+    n_prime = 1
+    for m, _ in list(inst.equalities) + pinned:
+        n_prime *= m
+    bound = n_prime * (forbidden + 2)
+    x = solve_avoidance(inst)
+    assert inst.satisfied_by(x) and 1 <= x <= bound
+    if bound > scan_up_to:
+        return False
+    first = next(
+        y for y in range(1, bound + 1)
+        if inst.satisfied_by(y) and all(y % q == e for q, e in pinned)
+    )
+    assert x == first
+    return True
+
+
 class TestSolver:
     @settings(max_examples=300)
     @given(instances())
     def test_least_solution_of_the_class_within_the_bound(self, inst):
-        # the class: every equality, and each avoidance modulus below the
-        # window F + 1 pinned to its least allowed residue
-        forbidden = sum(len(f) for _, f in inst.avoidances)
-        pinned = [(q, next(e for e in range(q) if e not in f))
-                  for q, f in inst.avoidances if q < forbidden + 1]
-        n_prime = 1
-        for m, _ in list(inst.equalities) + pinned:
-            n_prime *= m
-        bound = n_prime * (forbidden + 2)
-        x = solve_avoidance(inst)
-        assert inst.satisfied_by(x) and 1 <= x <= bound
-        if bound <= 10**5:
-            first = next(
-                y for y in range(1, bound + 1)
-                if inst.satisfied_by(y) and all(y % q == e for q, e in pinned)
-            )
-            assert x == first
+        check_least_in_class(inst)
+
+    def test_composite_moduli_against_scan(self):
+        # coprime moduli in 2..59, most instances with one that is not a
+        # prime power: the answer is the least member of its class, as a
+        # scan of 1, 2, ... finds it
+        rng = random.Random(20261019)
+        scanned = composite = 0
+        for _ in range(400):
+            moduli = []
+            for m in rng.sample(range(2, 60), 6):
+                if len(moduli) < 4 and all(gcd(m, other) == 1 for other in moduli):
+                    moduli.append(m)
+            eqs, avs = [], []
+            for m in moduli:
+                if m >= 4 and rng.random() < 0.6:
+                    avs.append((m, tuple(rng.sample(range(m), rng.randint(1, min(3, m - 1))))))
+                else:
+                    eqs.append((m, rng.randrange(m)))
+            inst = DiophInstance(equalities=eqs, avoidances=avs)
+            if check_least_in_class(inst):
+                scanned += 1
+                composite += not all(prime_power(m) for m in moduli)
+        assert scanned >= 300 and composite >= 250
 
     def test_equalities_only(self):
         inst = DiophInstance(equalities=((4, 3), (9, 4)), avoidances=())

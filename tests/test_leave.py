@@ -297,6 +297,38 @@ class TestVerifyCertificate:
         assert cert.conditions().all_pass()
         assert not verify_certificate(cert._replace(evidence=(tampered,)))
 
+    @pytest.mark.parametrize("n, k, evidence", [
+        (100, 7, ()),
+        (100, 7, (("reduction", (100, 2, 5), 1),)),
+        (100, 7, (("reduction", (100, 3, 5), 2),)),
+        (100, 7, (("reduction", (100, 3, 5), 1),) * 2),
+        (100, 7, (("dehon", (100, 5), 1),)),
+        (74, 5, (("dehon", (9, 3), 3),)),  # a copy short of the edges
+        (74, 5, (("empty", (), 0),)),
+        (74, 5, (("dehon", (9, 3, 1), 4),)),
+        (74, 5, (("dehon", (9, 3), 4), ("dehon", (7, 3), 0))),
+        (74, 5, (("dehon", (9, 3), -4), ("dehon", (9, 3), 8))),
+        (74, 5, (("dehon", (9, 3), 4), ("empty", (1,), 0))),
+        (20, 5, (("dehon", (9, 3), 5),)),  # the 540 edges on 45 > 20 vertices
+        (20, 5, (("simple-gdd", (2, 10, 0), 1),)),
+        (17, 5, ()),
+    ], ids=["r-none", "r-wrong-r", "r-two-copies", "r-twice", "r-dehon",
+            "q-copy-short", "q-empty", "q-wrong-arity", "q-zero-copies", "q-negative-copies",
+            "q-empty-with-params", "p-above-n", "p-refused", "design-none"])
+    def test_evidence_must_match_the_construction(self, n, k, evidence):
+        cert = achieved_lower_bound(n, k)[1]
+        tampered = cert._replace(evidence=tuple(leave.EvidenceItem(*e) for e in evidence))
+        assert tampered.conditions().all_pass()
+        assert not verify_certificate(tampered)
+
+    @pytest.mark.parametrize("n, k", [(100, 7), (74, 5), (17, 5), (20, 5)])
+    def test_relabelled_case_fails(self, n, k):
+        cert = achieved_lower_bound(n, k)[1]
+        assert cert.case is classify(n, k)[0] and verify_certificate(cert)
+        for label in CaseLabel:
+            if label is not cert.case:
+                assert not verify_certificate(cert._replace(case=label))
+
     def test_pair_above_n_minus_2_fails_the_cap(self):
         # (8, 4), xi = 13, one pair at 12 > n - 2 = 6: edge total
         # 2 * 12 = 8*7*6 - 24 * 13, degrees 12 = 0 (mod 6) and multiplicity

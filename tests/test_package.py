@@ -61,7 +61,7 @@ def test_cold_import_loads_only_what_it_runs():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["package"] == ["triplepack"]
-    # no sympy either: dioph carries its own CRT fold and prime-power test
+    # no sympy either: dioph carries its own CRT fold and checks coprimality with math.gcd
     assert got["cli"] == ["triplepack", "triplepack.cli", "triplepack.errors", "triplepack.jsonio"]
     assert got["unbound"] == [] and got["not_in_dir"] == []
 

@@ -67,7 +67,7 @@ def test_reprs_are_frozen():
         "Multigraph(n=4, base=1, mult_map={(0, 1): 2})"
     )
     assert repr(Multigraph(3)) == "Multigraph(n=3, base=0, mult_map={})"
-    assert repr(DiophInstance([[4, 1]], [(5, 1, 2), [7, [0]]])) == (
+    assert repr(DiophInstance([[4, 1]], [(5, [1, 2]), [7, [0]]])) == (
         "DiophInstance(equalities=((4, 1),), avoidances=((5, (1, 2)), (7, (0,))))"
     )
     assert repr(StallEvent(2, 5, (2, 5))) == "StallEvent(vertex=2, neighbor=5, partial=(2, 5))"
