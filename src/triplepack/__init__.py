@@ -35,8 +35,7 @@ _EXPORTS = {
     ),
     "params": (
         "CaseData", "CaseLabel", "classify", "j_prime", "johnson_bound",
-        "packing_number_k4", "packing_number_t2", "recursion_upper",
-        "upper_bound",
+        "packing_number_k4", "upper_bound",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

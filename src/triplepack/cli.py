@@ -124,7 +124,7 @@ def _cmd_decompose(args) -> int:
         raise InvalidParameterError(f"expected a multigraph, got a {kind}")
     g = jsonio.multigraph_from_dict(data)
     res = find_triangle_decomposition(g, budget=args.budget)
-    payload = {"status": res.status.value}
+    payload = {"status": res.status.value, "graph": jsonio.multigraph_to_dict(g)}
     if res.status is SearchStatus.FOUND:
         payload["triangles"] = jsonio.blocks_to_list(res.cliques)
     else:
@@ -206,6 +206,15 @@ def _cmd_verify(args) -> int:
             "a multigraph carries no claim to verify; "
             "`triplepack decompose --input FILE` searches for a triangle decomposition"
         )
+    elif kind == "decomposition":
+        # only a found decomposition of the recorded graph claims anything
+        status = data.get("status")
+        if status != "found":
+            raise InvalidParameterError(f"a {status!r} decomposition carries no claim to verify")
+        from .decomp import verify_decomposition
+
+        g, tris = jsonio.multigraph_from_dict(data["graph"]), data["triangles"]
+        ok = verify_decomposition(g, tris) and all(len(t) == 3 for t in tris)
     elif kind == "dioph":
         # the claim is the recorded solution; an instance without one
         # claims nothing
@@ -271,7 +280,8 @@ def _build_parser():
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--budget", type=non_negative_int, default=budget)
 
-    p = add("verify", _cmd_verify, help="re-check a JSON artifact")
+    p = add("verify", _cmd_verify, help="re-check a JSON artifact (a certificate's "
+            "ok covers its leave; its xi is a packing only for large n)")
     p.add_argument("input")
 
     return parser

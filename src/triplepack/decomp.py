@@ -57,11 +57,18 @@ class DecompositionResult(namedtuple("DecompositionResult", "status cliques node
 
 
 def dehon_conditions(n: int, lam: int) -> bool:
-    """Existence of a distinct triangle decomposition of lam*K_n:
-    lam(n-1) even, 3 | lam*n*(n-1), lam <= n-2."""
+    """Existence of a distinct triangle decomposition of lam*K_n, a simple
+    (3, lam)-GDD(1^n): lam(n-1) even, 3 | lam*n*(n-1), lam <= n-2."""
     if n < 3 or lam < 1:
         raise InvalidParameterError(f"need n >= 3, lam >= 1, got {(n, lam)}")
-    return lam * (n - 1) % 2 == 0 and lam * n * (n - 1) % 3 == 0 and lam <= n - 2
+    return _simple_gdd_conditions(1, n, lam)
+
+
+def _simple_gdd_conditions(g: int, u: int, lam: int) -> bool:
+    """Existence of a simple (3, lam)-GDD(g^u), g, u, lam >= 1: the one body
+    of dehon_conditions (g = 1) and of gdd's two predicates."""
+    return (lam * g * (u - 1) % 2 == 0 and lam * g * g * u * (u - 1) % 3 == 0
+            and u >= 3 and lam <= g * (u - 2))
 
 
 def verify_decomposition(g: Multigraph, cliques) -> bool:

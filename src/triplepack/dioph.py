@@ -77,11 +77,16 @@ class DiophInstance(namedtuple("DiophInstance", "equalities avoidances")):
         return cls(*fields)
 
     def satisfied_by(self, x: int) -> bool:
-        return (
-            x >= 1
-            and all(x % p == a for p, a in self.equalities)
-            and all(x % q not in forb for q, forb in self.avoidances)
-        )
+        # plain loops: an all(...) generator per candidate costs more than its arithmetic
+        if x < 1:
+            return False
+        for p, a in self.equalities:
+            if x % p != a:
+                return False
+        for q, forb in self.avoidances:
+            if x % q in forb:
+                return False
+        return True
 
 
 def solve_avoidance(inst: DiophInstance) -> int:
@@ -99,12 +104,17 @@ def solve_avoidance(inst: DiophInstance) -> int:
     N' * (F + 2), and a TriplepackError past that bound means a
     constraint was checked wrongly.
     """
-    total_forbidden = sum(len(forb) for _, forb in inst.avoidances)
+    total_forbidden = 0
+    for _, forb in inst.avoidances:
+        total_forbidden += len(forb)
     window = total_forbidden + 1
     congruences = list(inst.equalities)
     for q, forb in inst.avoidances:
         if q < window:
-            congruences.append((q, next(e for e in range(q) if e not in forb)))
+            e = 0  # some residue below q is allowed, so this stops below q
+            while e in forb:
+                e += 1
+            congruences.append((q, e))
     r, n_prime = _crt_fold(congruences)
     bound = n_prime * (total_forbidden + 2)
     for x in range(r or n_prime, bound + 1, n_prime):

@@ -17,8 +17,8 @@ from itertools import combinations
 from .decomp import (
     SearchStatus,
     _find,
+    _simple_gdd_conditions,
     check_budget,
-    dehon_conditions,
     transverse_triples,
     verify_decomposition,
 )
@@ -65,7 +65,7 @@ def simple_ts_exists(u: int, lam: int) -> bool:
     <= u-2, lam(u-1) even, lam*u*(u-1) divisible by 6 (Dehon)."""
     if u < 1:
         raise InvalidParameterError("need u >= 1")
-    return u >= 3 and lam >= 1 and dehon_conditions(u, lam)
+    return lam >= 1 and _simple_gdd_conditions(1, u, lam)
 
 
 def lgdd_exists(g: int, u: int, lam: int) -> bool:
@@ -91,12 +91,7 @@ def simple_gdd_exists(g: int, u: int, lam: int) -> bool:
     lam*g^2*u*(u-1) divisible by 3, u >= 3, 1 <= lam <= g(u-2)."""
     if g < 1 or u < 1 or lam < 1:
         raise InvalidParameterError("need g, u, lam >= 1")
-    return (
-        lam * g * (u - 1) % 2 == 0
-        and lam * g * g * u * (u - 1) % 3 == 0
-        and u >= 3
-        and 1 <= lam <= g * (u - 2)
-    )
+    return _simple_gdd_conditions(g, u, lam)
 
 
 # ---------------------------------------------------------------------------

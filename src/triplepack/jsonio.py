@@ -202,6 +202,8 @@ def identify(d: dict) -> str:
         return "gdd"
     if "t" in d and "blocks" in d:
         return "packing"
+    if "triangles" in d or ("status" in d and "graph" in d):
+        return "decomposition"
     if "edges" in d or ("n" in d and "base" in d):
         return "multigraph"
     if "equalities" in d or "avoidances" in d:

@@ -16,11 +16,13 @@ plus explicit blocks for small components).
 
 Evidence strength varies by case.  Complete components ("dehon") and
 multipartite gadgets ("simple-gdd") rest on exact existence theorems, so
-those certificates are valid at the emitted n.  The composite graph of
-the r != 0 case ("reduction") is decomposable by an argument that only
-holds for n large; at small n the certificate instantiates the
-asymptotic construction and its xi need not be attained (hard
-impossibilities -- a multiplicity above n - 2 -- are refused outright).
+for those certificates the leave's decomposition holds at the emitted n.
+The composite graph of the r != 0 case ("reduction") is decomposable by
+an argument that only holds for n large.  In every case the step from a
+leave to a packing of size xi holds only for n large, so a certificate
+that verifies at small n need not have its xi attained: at (9, 5) and
+(10, 5) xi is 6 and 8, while max_packing gives D = 3 and 6.  (Hard
+impossibilities -- a multiplicity above n - 2 -- are refused outright.)
 """
 
 from __future__ import annotations

@@ -42,37 +42,11 @@ def johnson_bound(n: int, k: int, t: int) -> int:
     return val
 
 
-def recursion_upper(n: int, k: int, t: int, d_small: int, d_shrunk: int) -> int:
-    """One step of the packing recursion.
-
-    ``d_small`` must be D(n-1, k-1, t-1) and ``d_shrunk`` D(n-1, k, t),
-    supplied by the caller (formula or oracle).  For n = k the second
-    branch degenerates and only the first term is returned.
-    """
-    _require(n >= k >= t >= 1, f"need n >= k >= t >= 1, got {(n, k, t)}")
-    first = n * d_small // k
-    if n == k:
-        return first
-    return min(first, n * d_shrunk // (n - k))
-
-
 def j_prime(n: int, k: int) -> int:
     """The bound J'(n,k,3) = floor(n/k * (floor((n-1)(n-2)/((k-1)(k-2))) - 1))."""
     _require(n > k >= 4, f"need n > k >= 4, got {(n, k)}")
     inner = (n - 1) * (n - 2) // ((k - 1) * (k - 2)) - 1
     return n * inner // k
-
-
-def packing_number_t2(n: int, k: int) -> int:
-    """Two-branch closed formula for D(n, k, 2).
-
-    The formula is proven only for n sufficiently large relative to k; it
-    is evaluated for any n >= k.
-    """
-    _require(n >= k >= 2, f"need n >= k >= 2, got {(n, k)}")
-    if (n - 1) % (k - 1) != 0 or n * (n - 1) % (k * (k - 1)) == 0:
-        return n * ((n - 1) // (k - 1)) // k
-    return n * (n - 1) // (k * (k - 1)) - 1
 
 
 def packing_number_k4(n: int) -> int:

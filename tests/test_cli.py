@@ -146,7 +146,9 @@ class TestDecompose:
         ("gdd", {"groups": [[0], [1], [2]], "lambda": 1, "blocks": [[0, 1, 2]]}),
         ("packing", {"n": 7, "k": 3, "t": 2, "lambda": 1, "blocks": [[0, 1, 2]]}),
         ("dioph", {"equalities": [[4, 1]]}),
-    ], ids=["certificate", "gdd", "packing", "dioph"])
+        ("decomposition", {"status": "found", "triangles": [[0, 1, 2]],
+                           "graph": {"n": 3, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1]]}}),
+    ], ids=["certificate", "gdd", "packing", "dioph", "decomposition"])
     def test_other_artifacts_are_refused(self, tmp_path, capsys, kind, payload):
         # a certificate used to read as the empty graph on its n
         path = tmp_path / f"{kind}.json"
@@ -154,6 +156,33 @@ class TestDecompose:
         code, out, err = run(capsys, "decompose", "--input", str(path))
         assert code == BAD_INPUT and out == ""
         assert err == f"error: expected a multigraph, got a {kind}\n"
+
+    def decomposed(self, tmp_path, capsys, graph):
+        """The path of `decompose --out` on ``graph``, and its payload."""
+        path, out = tmp_path / "g.json", tmp_path / "d.json"
+        path.write_text(jsonio.dumps(jsonio.multigraph_to_dict(graph)))
+        run(capsys, "decompose", "--input", str(path), "--out", str(out))
+        return out, json.loads(out.read_text())
+
+    def test_found_decomposition_verifies(self, tmp_path, capsys):
+        # decompose output used to read as an unrecognized artifact (exit 2)
+        out, payload = self.decomposed(tmp_path, capsys, complete(7, 1))
+        assert payload["graph"] == jsonio.multigraph_to_dict(complete(7, 1))
+        assert run(capsys, "verify", str(out)) == (OK, "decomposition: ok\n", "")
+
+    def test_tampered_decomposition_fails(self, tmp_path, capsys):
+        out, payload = self.decomposed(tmp_path, capsys, complete(7, 1))
+        a, b, _ = payload["triangles"][0]
+        payload["triangles"][0] = [a, b, 6 if 6 not in (a, b) else 5]
+        out.write_text(json.dumps(payload))
+        assert run(capsys, "verify", str(out)) == (FAIL, "decomposition: FAILED\n", "")
+
+    def test_verify_refuses_a_decomposition_not_found(self, tmp_path, capsys):
+        out, payload = self.decomposed(tmp_path, capsys, complete(4, 1))
+        assert payload["status"] == "none-found"
+        code, stdout, err = run(capsys, "verify", str(out))
+        assert code == BAD_INPUT and stdout == ""
+        assert err == "error: a 'none-found' decomposition carries no claim to verify\n"
 
     def test_verify_refuses_a_bare_multigraph(self, tmp_path, capsys):
         # a graph carries no claim: verify used to print "multigraph: ok"

@@ -346,3 +346,87 @@ class TestSolver:
         assert proc.returncode == 0, proc.stderr
         x, ok, raised = proc.stdout.split()
         assert int(x) >= 1 and ok == "True" and raised == "raised"
+
+
+# ---------------------------------------------------------------------------
+# the loop-based satisfied_by and solve_avoidance against generator-based
+# references, on criterion 8's instances
+# ---------------------------------------------------------------------------
+
+
+def _reference_satisfied_by(inst, x) -> bool:
+    """satisfied_by as generator expressions, kept here only as the
+    reference that the loop-based method must agree with."""
+    return (
+        x >= 1
+        and all(x % p == a for p, a in inst.equalities)
+        and all(x % q not in forb for q, forb in inst.avoidances)
+    )
+
+
+def _reference_solve(inst) -> tuple:
+    """(answer, N') of solve_avoidance written with generators: pin each
+    avoidance modulus below the window to its least allowed residue, fold,
+    and scan the class up to N'(F + 2)."""
+    forbidden = sum(len(forb) for _, forb in inst.avoidances)
+    pinned = [(q, next(e for e in range(q) if e not in forb))
+              for q, forb in inst.avoidances if q < forbidden + 1]
+    r, n_prime = _crt_fold(list(inst.equalities) + pinned)
+    bound = n_prime * (forbidden + 2)
+    x = next(y for y in range(r or n_prime, bound + 1, n_prime)
+             if _reference_satisfied_by(inst, y))
+    return x, n_prime
+
+
+CRITERION_8_MODULI = (4, 8, 16, 32, 5, 25, 7, 49, 9, 27, 11, 13, 17,
+                      19, 23, 29, 31, 37, 41, 43, 47)
+_BASE_OF = {m: next(p for p in range(2, m + 1) if m % p == 0) for m in CRITERION_8_MODULI}
+
+
+def criterion_8_instance(rng: random.Random) -> DiophInstance:
+    """Criterion 8's generator: up to 3 equalities and 4 avoidances (1 to
+    3 forbidden residues each) on prime powers with distinct bases."""
+    while True:
+        pool = list(CRITERION_8_MODULI)
+        rng.shuffle(pool)
+        used = set()
+        eqs, avs = [], []
+        n_eq, n_av = rng.randint(0, 3), rng.randint(0, 4)
+        for m in pool:
+            if _BASE_OF[m] in used:
+                continue
+            if len(eqs) < n_eq:
+                used.add(_BASE_OF[m])
+                eqs.append((m, rng.randrange(m)))
+            elif len(avs) < n_av:
+                used.add(_BASE_OF[m])
+                avs.append((m, tuple(rng.sample(range(m), rng.randint(1, min(3, m - 1))))))
+        if eqs or avs:
+            return DiophInstance(equalities=tuple(eqs), avoidances=tuple(avs))
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_satisfied_by_agrees_with_the_reference(data):
+    # x anywhere from -5 to 5 past the scan bound N'(F + 2), plus every x
+    # in -5..5, where the x >= 1 rule decides
+    inst = criterion_8_instance(random.Random(data.draw(st.integers(0, 2**32))))
+    forbidden = sum(len(f) for _, f in inst.avoidances)
+    n_prime = _reference_solve(inst)[1]
+    drawn = data.draw(st.integers(-5, n_prime * (forbidden + 2) + 5))
+    for x in [drawn, *range(-5, 6)]:
+        assert inst.satisfied_by(x) is _reference_satisfied_by(inst, x), (inst, x)
+
+
+def test_solver_matches_the_reference_on_criterion_8_instances():
+    # seeds 1-10, 400 instances each: the same answer, which the instance
+    # accepts, while the class member N' below it (0 or less when the
+    # answer is the first positive member) is refused
+    for seed in range(1, 11):
+        rng = random.Random(seed)
+        for _ in range(400):
+            inst = criterion_8_instance(rng)
+            x, n_prime = _reference_solve(inst)
+            assert solve_avoidance(inst) == x, (seed, inst)
+            verdicts = [inst.satisfied_by(y) for y in (x - n_prime, x)]
+            assert verdicts == [False, True], (seed, inst)

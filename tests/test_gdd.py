@@ -10,7 +10,7 @@ import pytest
 
 import triplepack.decomp as decomp_mod
 import triplepack.gdd as gdd_mod
-from triplepack.decomp import SearchStatus, verify_decomposition
+from triplepack.decomp import SearchStatus, dehon_conditions, verify_decomposition
 from triplepack.errors import InvalidParameterError
 from triplepack.gdd import (
     GddInstance,
@@ -48,6 +48,47 @@ class TestPredicates:
         for u in (0, -3):
             with pytest.raises(InvalidParameterError):
                 simple_ts_exists(u, 1)
+
+    def test_one_body_for_the_three_triple_system_predicates(self):
+        # the three formulas as they stood before they shared one body,
+        # kept here as the reference: each name gives the same value, or
+        # raises the same exception type, over u in 0..30, lam in -1..30
+        def old_dehon(n, lam):
+            if n < 3 or lam < 1:
+                raise InvalidParameterError(f"need n >= 3, lam >= 1, got {(n, lam)}")
+            return lam * (n - 1) % 2 == 0 and lam * n * (n - 1) % 3 == 0 and lam <= n - 2
+
+        def old_simple_ts(u, lam):
+            if u < 1:
+                raise InvalidParameterError("need u >= 1")
+            return u >= 3 and lam >= 1 and old_dehon(u, lam)
+
+        def old_simple_gdd_1(u, lam):
+            g = 1
+            if u < 1 or lam < 1:
+                raise InvalidParameterError("need g, u, lam >= 1")
+            return (
+                lam * g * (u - 1) % 2 == 0
+                and lam * g * g * u * (u - 1) % 3 == 0
+                and u >= 3
+                and 1 <= lam <= g * (u - 2)
+            )
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except Exception as exc:
+                return type(exc)
+
+        pairs = [
+            (dehon_conditions, old_dehon),
+            (simple_ts_exists, old_simple_ts),
+            (lambda u, lam: simple_gdd_exists(1, u, lam), old_simple_gdd_1),
+        ]
+        for u in range(0, 31):
+            for lam in range(-1, 31):
+                for new, old in pairs:
+                    assert outcome(new, u, lam) == outcome(old, u, lam), (old.__name__, u, lam)
 
     def test_lgdd_exception(self):
         assert not lgdd_exists(1, 7, 1)  # the lone exception

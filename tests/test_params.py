@@ -10,8 +10,6 @@ from triplepack.params import (
     j_prime,
     johnson_bound,
     packing_number_k4,
-    packing_number_t2,
-    recursion_upper,
     upper_bound,
 )
 
@@ -45,18 +43,6 @@ class TestJohnsonBound:
         assert johnson_bound(n + 1, k, 3) >= johnson_bound(n, k, 3)
 
 
-class TestRecursion:
-    def test_matches_johnson_chain(self):
-        # Feeding J values through one recursion step reproduces J
-        n, k, t = 12, 5, 3
-        d_small = johnson_bound(n - 1, k - 1, t - 1)
-        d_shrunk = johnson_bound(n - 1, k, t)
-        assert recursion_upper(n, k, t, d_small, d_shrunk) <= johnson_bound(n, k, t)
-
-    def test_n_equals_k(self):
-        assert recursion_upper(4, 4, 3, 1, 0) == 1
-
-
 class TestJPrime:
     def test_frozen_values(self):
         # j_prime(k+1, k) is 1 at k = 4 and 0 from k = 5 on
@@ -72,15 +58,6 @@ class TestJPrime:
 
 
 class TestClosedFormulas:
-    def test_t2_fano(self):
-        assert packing_number_t2(7, 3) == 7
-
-    def test_t2_shaves_one(self):
-        # first branch: all divisibilities hold
-        assert packing_number_t2(13, 3) == 26
-        # second branch: (n-1) % (k-1) == 0 but n(n-1) % k(k-1) != 0
-        assert packing_number_t2(5, 3) == 2
-
     def test_k4_agrees_with_johnson_off_residue(self):
         for n in range(4, 40):
             if n % 6 != 0:
