@@ -36,14 +36,17 @@ interpreter start (``python3 -c pass`` in the commands' environment),
 whose time also follows the cost of starting a process, which a loop in
 the measuring process does not see.
 
-Answers gate the comparison: certificate bytes or refusal, search status
-and triangle digest, packing status and value, the avoidance solution, and
-a command's output as the workload checks it must be equal on both sides
-and in every round, otherwise nothing is written and the exit code is 1.
-Work counters are only reported, because a change may move them: search
-nodes, pairs handed to ``Multigraph``, ``satisfied_by`` scan steps,
-cliques, stalls and appearance total of a reduction, and the package and
-standard-library modules a command loads (``-X importtime``).
+Answers gate the comparison, as the workload accepts them: each
+operation's status (search or packing status, certificate or refusal,
+a command's exit code) and the verdict of the workload's own check on
+its result must be equal on both sides and in every round, otherwise
+nothing is written and the exit code is 1.  The digest of the answer the
+check read (the triangles, the certificate JSON, a command's output) is
+only reported, because a change may pick another valid answer; so are
+the work counters: search nodes, pairs handed to ``Multigraph``,
+``satisfied_by`` scan steps, cliques, stalls and appearance total of a
+reduction, and the package and standard-library modules a command loads
+(``-X importtime``).
 
 With ``--e2e-pairs N`` the script also runs ``perfbench/run.py --trace 0``
 on the layer's workload in both trees, N pairs of runs on seeds from
@@ -98,26 +101,32 @@ def perfbench():
 
 # ---------------------------------------------------------------------------
 # the layers: (kind, label, call, describe) per operation; describe() runs
-# the operation once, untimed, and gives its answer and its own work
-# counters; an operation without a call is not run
+# the operation once, untimed, and gives its answer as the workload
+# accepts it ([status, verdict of the workload's check]), the digest of
+# what the check read, and its own work counters; an operation without a
+# call is not run
 # ---------------------------------------------------------------------------
 
 
-def desk_result(fn: str, call) -> tuple:
+def verdict(errs) -> str:
+    return "; ".join(errs) or "ok"
+
+
+def desk_result(workloads, task, call) -> tuple:
     res = call()
-    if fn == "clique_reduction":
-        residual = res.residual
-        answer = digest((res.cliques, residual.n, residual.base, sorted(residual.mult_map.items())))
-        return answer, {"cliques": len(res.cliques), "stalls": len(res.stalls),
-                        "appearance": sum(res.appearance.values())}
-    if fn == "find_triangle_decomposition":
-        return [res.status.value, digest(res.cliques)], {"nodes": res.nodes}
-    if fn == "search_simple_gdd":
-        status, inst, nodes = res
-        return [status.value, digest(inst and inst.blocks)], {"nodes": nodes}
-    if fn == "max_packing":
-        return [res.status.value, res.value], {"nodes": res.nodes_explored}
-    return res, {}  # solve_avoidance: its work is the scan steps
+    errs, text, _gap = workloads.checked(task.check, res)
+    status, work = "done", {}
+    if task.fn == "clique_reduction":
+        work = {"cliques": len(res.cliques), "stalls": len(res.stalls),
+                "appearance": sum(res.appearance.values())}
+    elif task.fn == "find_triangle_decomposition":
+        status, work = res.status.value, {"nodes": res.nodes}
+    elif task.fn == "search_simple_gdd":
+        status, work = res[0].value, {"nodes": res[2]}
+    elif task.fn == "max_packing":
+        status, work = res.status.value, {"nodes": res.nodes_explored}
+    # solve_avoidance: its work is the scan steps
+    return [status, verdict(errs)], digest(text), work
 
 
 def desk_label(fn: str, args: tuple) -> str:
@@ -137,7 +146,7 @@ def desk_ops(workloads, api, seed: int, tmp: str):
             yield task.fn, label, None, None
             continue
         call = partial(getattr(api, task.fn), *task.args)
-        yield task.fn, label, call, partial(desk_result, task.fn, call)
+        yield task.fn, label, call, partial(desk_result, workloads, task, call)
 
 
 def sweep_ops(workloads, api, seed: int, tmp: str):
@@ -145,12 +154,14 @@ def sweep_ops(workloads, api, seed: int, tmp: str):
 
     def describe(n, k):
         res = sweep.certify(n, k)
-        if res is None:  # a documented refusal: its reason and min_n are the answer
+        if res is None:  # a documented refusal: its reason and min_n are the status
             try:
                 api.achieved_lower_bound(n, k)
             except api.TriplepackError as exc:
-                return f"{type(exc).__name__} (min_n {getattr(exc, 'min_n', None)}): {exc}", {}
-        return hashlib.sha256(res[2].encode()).hexdigest(), {}
+                status = f"refused {type(exc).__name__} (min_n {getattr(exc, 'min_n', None)})"
+                return [status, "ok"], digest(str(exc)), {}
+        errs, text, _gap = workloads.checked(sweep.check, n, k, res)
+        return ["certificate", verdict(errs)], digest(text), {}
 
     for n, k in sweep.items:
         case = api.classify(n, k)[0].value
@@ -175,14 +186,10 @@ def cli_ops(workloads, api, seed: int, tmp: str):
         stdlib = {name for name in names if name.split(".")[0] in sys.stdlib_module_names}
         work = {"package_modules": sum(name.split(".")[0] == "triplepack" for name in names),
                 "stdlib_modules": len(stdlib), **{m: int(m in stdlib) for m in WATCHED}}
-        status, answer = "ok", ""
-        if proc.returncode not in (0, 1):
-            status = f"exit {proc.returncode}"
-        elif check is not None:
+        errs, answer = [], ""
+        if check is not None and proc.returncode in (0, 1):
             errs, answer, _gap = workloads.checked(check, proc.stdout)
-            if errs or proc.returncode:
-                status = "; ".join(errs) or "exit 1"
-        return [status, digest(answer)], work
+        return [f"exit {proc.returncode}", verdict(errs)], digest(answer), work
 
     script = workloads.Cli(api, seed, tmp).script
     for argv, check in [(None, None), *script]:
@@ -225,9 +232,9 @@ def counting(api):
 
 
 def measure(layer: str, seed: int, repeats: int) -> list:
-    """Per operation of the layer: kind, label, answer, work counters and
-    host-corrected time in ms (None when not run), on whichever
-    ``triplepack`` is importable."""
+    """Per operation of the layer: kind, label, answer, digest, work
+    counters and host-corrected time in ms (None when not run), on
+    whichever ``triplepack`` is importable."""
     sys.dont_write_bytecode = True  # leave no caches under perfbench/
     workloads, run = perfbench()
     api = workloads.load_api()
@@ -236,12 +243,13 @@ def measure(layer: str, seed: int, repeats: int) -> list:
         probe, quiet_s = host_probe(layer, workloads, run, tmp)
         rows = []
         for kind, label, call, describe in ops:  # untimed: fills caches too
-            answer, work = None, {}
+            answer, answer_digest, work = None, None, {}
             if call is not None:
                 with counting(api) as counts:
-                    answer, work = describe()
+                    answer, answer_digest, work = describe()
                 work = {**{name: c for name, c in counts.items() if c}, **work}
-            rows.append({"kind": kind, "op": label, "answer": answer, "work": work, "ms": None})
+            rows.append({"kind": kind, "op": label, "answer": answer, "digest": answer_digest,
+                         "work": work, "ms": None})
         # as the benchmark does: long-lived objects out of the collector's view
         gc.collect()
         gc.freeze()
@@ -322,8 +330,10 @@ class AnswersDiffer(Exception):
 def compare(runs: dict) -> dict:
     """The report of the rounds of both sides.  Raises AnswersDiffer,
     naming the operations, unless every round of both sides gave the same
-    answers.  Operations that were not run count as slower than every
-    timed one in the tail."""
+    answers (status and check verdict).  The operations whose answer
+    digests differ between the sides' first rounds are listed, not gated.
+    Operations that were not run count as slower than every timed one in
+    the tail."""
     keyed = [[(r["op"], r["answer"]) for r in run] for side in runs for run in runs[side]]
     if any(k != keyed[0] for k in keyed):
         differ = {op for k in keyed for (op, a), (_, b) in zip(k, keyed[0]) if a != b}
@@ -354,6 +364,8 @@ def compare(runs: dict) -> dict:
         "untimed_ops": untimed,
         "total": {**total, "ratio": round(total["parent_ms"] / total["change_ms"], 3)},
         "work_differs": [r["op"] for r in rows if r["parent_work"] != r["change_work"]],
+        "digests_differ": [p["op"] for p, c in zip(first["parent"], first["change"])
+                           if p["digest"] != c["digest"]],
         "tail": tails,
         "by_kind": {kind: summarize([r for r in timed if r["kind"] == kind], runs)
                     for kind in sorted({r["kind"] for r in timed})},
@@ -455,7 +467,8 @@ def main(argv=None) -> int:
     print(f"{args.layer}: {total['ops']} operations, answers equal; total "
           f"{total['parent_ms']} -> {total['change_ms']} ms ({total['ratio']}x); "
           f"tail {tails['parent']} -> {tails['change']}; "
-          f"{len(report['work_differs'])} operations with other work counters", file=sys.stderr)
+          f"{len(report['work_differs'])} operations with other work counters, "
+          f"{len(report['digests_differ'])} with other answer digests", file=sys.stderr)
     if not args.out:
         json.dump({"layer": layer, "end_to_end": e2e}, sys.stdout, indent=1)
         return 0

@@ -292,18 +292,37 @@ def check_budget(budget: int | None) -> None:
         raise InvalidParameterError(f"budget must be >= 0, got {budget}")
 
 
+# the juxtaposition route runs only where it needs three or more designs:
+# with two, the direct search was as fast or faster on every input of the
+# lam*K_n and gadget grids but one
+JUXTAPOSE_FROM = 3
+
+
 def find_triangle_decomposition(
     g: Multigraph, budget: int | None = None, forbidden=()
 ) -> DecompositionResult:
     """Exact search for a distinct triangle decomposition of g.
 
     FOUND comes with a verified set of triangles; NONE is a proof of
-    nonexistence (the space was exhausted, possibly via sound counting
-    arguments); BUDGET is inconclusive.  For uniform complete multipartite
-    inputs with multiplicity above half the per-pair triple capacity, the
-    search runs on the complementary multiplicity and complements the
-    answer inside the set of transverse triples.  A negative ``budget`` is
-    refused; ``budget=0`` allows no node.
+    nonexistence; BUDGET is inconclusive.  A negative ``budget`` is
+    refused; ``budget=0`` allows no node.  Routes, in order:
+
+    - counting shortcuts: no edge is FOUND; odd degrees or an edge count
+      not divisible by 3 is NONE; on a uniform complete multipartite input
+      (lam*K_n, or a GDD gadget) with no forbidden triples, a multiplicity
+      above the per-pair triple capacity is NONE;
+    - mirror: on such an input with multiplicity above half that
+      capacity, the search runs on the complementary multiplicity and the
+      answer is complemented inside the transverse triples;
+    - juxtaposition: on such an input that needs three or more designs of
+      the least index b at which a simple GDD exists, they are searched one
+      after the other, each with the blocks of the earlier ones forbidden;
+      if any of them fails, the nodes spent count against the budget and
+      the kernel runs;
+    - the exhaustive kernel ``_triangle_search``.
+
+    NONE comes only from the counting shortcuts and the kernel, never
+    from a failed juxtaposition.
     """
     check_budget(budget)
     res = _find(g, budget, forbidden)
@@ -321,6 +340,7 @@ def _find(g: Multigraph, budget: int | None, forbidden) -> DecompositionResult:
     if _quick_infeasible(g):
         return DecompositionResult(SearchStatus.NONE, None, 0)
 
+    spent = 0
     if not forbidden:
         shape = _uniform_multipartite_shape(g)
         if shape is not None:
@@ -345,11 +365,59 @@ def _find(g: Multigraph, budget: int | None, forbidden) -> DecompositionResult:
                 keep = set(res.cliques)
                 out = tuple(t for t in transverse_triples(parts) if t not in keep)
                 return DecompositionResult(SearchStatus.FOUND, out, res.nodes)
+            blocks, spent = _juxtaposed_blocks(parts, lam, budget, JUXTAPOSE_FROM)
+            if blocks is not None:
+                return DecompositionResult(SearchStatus.FOUND, blocks, spent)
+            if budget is not None:
+                if spent > budget:
+                    return DecompositionResult(SearchStatus.BUDGET, None, spent)
+                budget -= spent
 
     status, triples, nodes = _triangle_search(g, forbidden, budget)
+    nodes += spent
     if status is SearchStatus.FOUND:
         return DecompositionResult(status, tuple(sorted(triples)), nodes)
     return DecompositionResult(status, None, nodes)
+
+
+def _juxtaposed_blocks(parts, lam: int, budget: int | None, fewest: int = 1):
+    """(blocks, nodes): the sorted blocks of lam/b pairwise disjoint
+    simple (3, b)-GDDs on the equal-sized ``parts``, b the least divisor
+    of lam at which one exists, and the nodes their searches took.  Each
+    design is searched with the blocks of those before it forbidden, all
+    under one ``budget``.  The blocks are None when there is no such b,
+    when lam/b < ``fewest``, or when a search fails (no proof of
+    anything); the nodes then exceed ``budget`` exactly when it ran out.
+    The union is not verified here: the caller checks what it builds
+    from it, once."""
+    if lam == 0:
+        return (), 0
+    size, u = len(parts[0]), len(parts)
+    base = next(
+        (b for b in range(1, lam + 1) if lam % b == 0 and _simple_gdd_conditions(size, u, b)),
+        None,
+    )
+    if base is None or lam // base < fewest:
+        return None, 0
+    part_of = {x: i for i, part in enumerate(parts) for x in part}
+    design = Multigraph(
+        max(part_of) + 1,
+        base=0,
+        mult_map={
+            (x, y): base
+            for x, y in combinations(sorted(part_of), 2)
+            if part_of[x] != part_of[y]
+        },
+    )
+    used, spent = (), 0
+    for _ in range(lam // base):
+        left = None if budget is None else budget - spent
+        res = _find(design, left, used)
+        spent += res.nodes
+        if res.status is not SearchStatus.FOUND:
+            return None, spent
+        used += res.cliques
+    return tuple(sorted(used)), spent
 
 
 # ---------------------------------------------------------------------------

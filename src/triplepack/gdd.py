@@ -17,6 +17,7 @@ from itertools import combinations
 from .decomp import (
     SearchStatus,
     _find,
+    _juxtaposed_blocks,
     _simple_gdd_conditions,
     check_budget,
     transverse_triples,
@@ -127,9 +128,13 @@ SEARCH_CAP = 12  # largest gu attempted by exact search
 def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
     """Exact search for a simple (3, lam)-GDD(g^u) on contiguous groups.
 
-    Returns (status, instance-or-None, nodes).  NONE is exhaustive: no
-    such design exists.  The search space is the distinct triangle
-    decompositions of the gadget multigraph.  A negative ``budget`` is
+    Returns (status, instance-or-None, nodes).  The search space is the
+    distinct triangle decompositions of the gadget multigraph, taken by
+    the routes of ``find_triangle_decomposition``: the counting
+    shortcuts, the mirror onto the complementary index, juxtaposition of
+    three or more disjoint designs of the least index, and the exhaustive
+    kernel.  NONE is exhaustive, no such design exists, and comes only
+    from the counting shortcuts and the kernel.  A negative ``budget`` is
     refused.  A found design is checked once, by ``verify_gdd``.
     """
     if g * u > SEARCH_CAP:
@@ -155,7 +160,8 @@ def assemble_simple_gdd(
     Routes, in order: juxtaposition of disjoint minimal-index designs
     summing to lam; the same for the complementary index cap - lam,
     complemented within the transverse triples (every cross pair lies in
-    exactly cap = g(u-2) of them); exact search.  Returns None only when
+    exactly cap = g(u-2) of them); exact search.  The designs of one
+    juxtaposition share the budget.  Returns None only when
     every route failed inconclusively; when simple_gdd_exists is false
     the caller should not ask.  A negative ``budget`` is refused.  The
     returned design is checked once, by ``verify_gdd``.
@@ -167,7 +173,7 @@ def assemble_simple_gdd(
     groups = _contiguous_groups(g, u)
     targets = sorted(((lam, False), (cap - lam, True)), key=lambda t: t[0])
     for target, complement in targets:
-        blocks = _juxtaposed_blocks(g, u, target, budget)
+        blocks, _nodes = _juxtaposed_blocks(groups, target, budget)
         if blocks is None:
             continue
         if complement:
@@ -178,28 +184,3 @@ def assemble_simple_gdd(
             return inst
     status, inst, _ = search_simple_gdd(g, u, lam, budget=budget)
     return inst if status is SearchStatus.FOUND else None
-
-
-def _juxtaposed_blocks(g: int, u: int, lam: int, budget: int | None):
-    """The sorted blocks of lam/b pairwise disjoint simple (3, b)-GDD(g^u)s
-    on contiguous groups, b the least divisor of lam at which one exists;
-    each is searched with the blocks of those before it forbidden.  None
-    when there is no such b or a search fails (not an exhaustive proof).
-    The union is not verified here: the caller checks the design it
-    builds from it, once."""
-    if lam == 0:
-        return ()
-    base = next(
-        (b for b in range(1, lam + 1) if lam % b == 0 and simple_gdd_exists(g, u, b)),
-        None,
-    )
-    if base is None:
-        return None
-    gadget = gadget_multigraph(g, u, base)
-    used = ()
-    for _ in range(lam // base):
-        res = _find(gadget, budget, used)
-        if res.status is not SearchStatus.FOUND:
-            return None
-        used += res.cliques
-    return tuple(sorted(used))

@@ -278,7 +278,8 @@ def _havel_hakimi(seq) -> list:
     """
     buckets = [[] for _ in range(max(seq, default=0) + 1)]
     for v in range(len(seq) - 1, -1, -1):
-        buckets[seq[v]].append(v)
+        if seq[v]:  # bucket 0 is never read
+            buckets[seq[v]].append(v)
     pairs = []
     add = pairs.append
     top = len(buckets) - 1

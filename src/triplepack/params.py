@@ -126,12 +126,22 @@ def classify(n: int, k: int) -> tuple[CaseLabel, CaseData]:
 def upper_bound(n: int, k: int) -> int:
     """Best proven upper bound on D(n, k, 3) for the case of (n, k).
 
-    DESIGN and R_NONZERO give J; Q_NONZERO gives J - 3; P_NONZERO gives
+    DESIGN and R_NONZERO give J, except J - 1 in the R_NONZERO subclass
+    gamma = 0, gamma0 = k - 1; Q_NONZERO gives J - 3; P_NONZERO gives
     J', further reduced by floor(n / 3k^3) when k = 0 (mod 6), k >= 12
     and p = 2.  For n below the (unknown) case threshold the bound is
     still valid, it just need not be tight.
+
+    The R_NONZERO subclass rests only on necessary leave conditions, so
+    it holds at every n.  A leave for xi = J has every multiplicity
+    = r (mod k - 2) with 0 < r < k - 2, so it is rK_n + (k - 2)H; every
+    degree of H is = gamma = 0 (mod k - 1) and the degrees of H sum to
+    gamma0 = k - 1.  One vertex of H would then have degree k - 1 and
+    every other degree 0, which no multigraph has.
     """
     label, data = classify(n, k)
+    if label is CaseLabel.R_NONZERO and data.gamma == 0 and data.gamma0 == k - 1:
+        return johnson_bound(n, k, 3) - 1
     if label in (CaseLabel.DESIGN, CaseLabel.R_NONZERO):
         return johnson_bound(n, k, 3)
     if label is CaseLabel.Q_NONZERO:

@@ -1,6 +1,7 @@
 """Smoke test of the bench harness: each layer's measuring step, run twice
-on this tree with one repeat, gives rows with answers and work counters,
-and the same answers both times."""
+on this tree with one repeat, gives rows with answers the workload's
+checks accept, answer digests and work counters, and the same answers
+both times."""
 
 import importlib.util
 from pathlib import Path
@@ -29,23 +30,27 @@ def test_measure_twice(layer):
     first, second = (compare.run_side(ROOT, layer, seed=1, repeats=1) for _ in range(2))
     assert [(r["op"], r["answer"]) for r in first] == [(r["op"], r["answer"]) for r in second]
     timed = [r for r in first if r["ms"] is not None]
-    assert timed and all(r["answer"] is not None and r["ms"] > 0 for r in timed)
+    assert timed and all(r["answer"][1] == "ok" and r["ms"] > 0 for r in timed)
+    assert all(len(r["digest"]) == 16 for r in timed)
     for row in timed:
         assert KIND_COUNTERS.get(row["kind"], set()) <= row["work"].keys(), row
     assert LAYER_COUNTERS[layer] <= {name for r in timed for name in r["work"]}
     if layer == "cli":
-        assert all(r["answer"][0] == "ok" and r["work"]["package_modules"] >= 4 for r in timed)
+        assert all(r["answer"][0] == "exit 0" and r["work"]["package_modules"] >= 4 for r in timed)
     if layer == "desk":
         # the slowest desk tasks are kept as rows but not run
         assert len(first) - len(timed) == 8
 
 
 def test_answers_gate_the_report():
-    rows = [{"kind": "k", "op": "a", "answer": 1, "work": {"nodes": 3}, "ms": 1.0}]
-    other = [{**rows[0], "work": {"nodes": 4}, "ms": 2.0}]
+    rows = [{"kind": "k", "op": "a", "answer": ["found", "ok"], "digest": "x",
+             "work": {"nodes": 3}, "ms": 1.0}]
+    other = [{**rows[0], "digest": "y", "work": {"nodes": 4}, "ms": 2.0}]
     report = compare.compare({"parent": [rows], "change": [other]})
-    # work counters may move: they are reported, not gated
-    assert report["work_differs"] == ["a"] and report["total"]["ratio"] == 0.5
-    wrong = [{**rows[0], "answer": 2}]
-    with pytest.raises(compare.AnswersDiffer, match="a"):
-        compare.compare({"parent": [rows], "change": [wrong]})
+    # another valid answer and other work counters are reported, not gated
+    assert report["work_differs"] == report["digests_differ"] == ["a"]
+    assert report["total"]["ratio"] == 0.5
+    for answer in (["none-found", "ok"], ["found", "triangles do not decompose the graph"]):
+        wrong = [{**rows[0], "answer": answer}]
+        with pytest.raises(compare.AnswersDiffer, match="a"):
+            compare.compare({"parent": [rows], "change": [wrong]})

@@ -81,7 +81,9 @@ class TestVerify:
         lambda: find_triangle_decomposition(complete(9, 4)),
         lambda: search_simple_gdd(2, 6, 1),
         lambda: decompose_via_reduction(complete(7, 2), 3, 2, 2),
-    ], ids=["gdd-search", "mirror", "gdd-direct", "reduction"])
+        lambda: find_triangle_decomposition(complete(9, 3)),
+        lambda: search_simple_gdd(1, 9, 4),
+    ], ids=["gdd-search", "mirror", "gdd-direct", "reduction", "juxtaposed", "gdd-juxtaposed"])
     def test_a_mirrored_answer_is_verified_once(self, monkeypatch, run):
         # each emitted claim is checked once, on the graph it claims to
         # decompose: a design by verify_gdd, a reduction's cliques with its
@@ -386,11 +388,76 @@ class TestKernelMatchesReference:
         assert (got.status, got.cliques, got.nodes) == (want.status, want.cliques, want.nodes)
 
     def test_3k9_pinned(self):
+        # the kernel itself; the public search takes the juxtaposition
+        # route on 3K_9 (TestJuxtaposition)
+        status, triples, nodes = decomp._triangle_search(complete(9, 3), (), None)
+        assert status is SearchStatus.FOUND and nodes == 17390
+        assert verify_decomposition(complete(9, 3), triples)
+        status, _triples, nodes = decomp._triangle_search(complete(9, 3), (), 1000)
+        assert status is SearchStatus.BUDGET and nodes == 1001
+
+
+class TestJuxtaposition:
+    # lam*K_m of the Dehon types the leave constructors use: three STS(9),
+    # five STS(13), six STS(15), seven STS(25), one after the other
+    @pytest.mark.parametrize("m, lam, nodes", [(9, 3, 43), (13, 5, 252), (15, 6, 342), (25, 7, 942)])
+    def test_dehon_types_found(self, m, lam, nodes):
+        g = complete(m, lam)
+        res = find_triangle_decomposition(g)
+        assert res.status is SearchStatus.FOUND and res.nodes == nodes
+        assert len(res.cliques) == lam * m * (m - 1) // 6
+        assert verify_decomposition(g, res.cliques)
+
+    def test_routed_answers_pinned(self):
+        # 4K_9 is mirrored onto 3K_9 and complemented; GDD(1^9) is 3K_9
+        direct = find_triangle_decomposition(complete(9, 3))
+        mirrored = find_triangle_decomposition(complete(9, 4))
+        assert (direct.nodes, mirrored.nodes) == (43, 43)
+        assert set(mirrored.cliques) == set(combinations(range(9), 3)) - set(direct.cliques)
+        for lam, res in ((3, direct), (4, mirrored)):
+            status, inst, nodes = search_simple_gdd(1, 9, lam)
+            assert (status, inst.blocks, nodes) == (res.status, res.cliques, res.nodes)
+        assert hashlib.sha256(repr(direct.cliques).encode()).hexdigest() == (
+            "c755ed1b722e08d2ab029b83552f57bc3e567ef3b9abe11d67b48fc554db8bf4"
+        )
+
+    @pytest.mark.parametrize("lam", [3, 4])
+    def test_a_budget_the_route_outruns_is_budget(self, lam):
+        # the route needs 43 nodes; below that the answer is inconclusive
+        # and counts the node past the budget, as the kernel does
+        for budget in range(43):
+            res = find_triangle_decomposition(complete(9, lam), budget=budget)
+            assert res.status is SearchStatus.BUDGET and res.cliques is None
+            assert res.nodes == budget + 1
+        assert find_triangle_decomposition(complete(9, lam), budget=43).status is SearchStatus.FOUND
+        res = find_triangle_decomposition(complete(25, 7), budget=500)
+        assert res.status is SearchStatus.BUDGET and res.nodes == 501
+
+    def test_a_failed_route_returns_the_kernels_answer(self, monkeypatch):
+        # the second STS(9), searched with the first one's 12 blocks
+        # forbidden, is made to fail after 5 nodes; the kernel then runs on
+        # 3K_9 with the route's nodes counted against the same budget
+        kernel = decomp._triangle_search
+        calls = []
+
+        def stuck(g, forbidden, budget):
+            calls.append((g.edge_count(), len(forbidden), budget))
+            if forbidden:
+                return SearchStatus.NONE, [], 5
+            return kernel(g, forbidden, budget)
+
+        monkeypatch.setattr(decomp, "_triangle_search", stuck)
+        first = kernel(complete(9, 1), (), None)[2]
+        status, triples, nodes = kernel(complete(9, 3), (), None)
         res = find_triangle_decomposition(complete(9, 3))
-        assert res.status is SearchStatus.FOUND and res.nodes == 17390
-        capped = find_triangle_decomposition(complete(9, 3), budget=1000)
-        assert capped.status is SearchStatus.BUDGET and capped.nodes == 1001
-        assert capped.cliques is None
+        assert res.status is status and res.cliques == tuple(sorted(triples))
+        assert res.nodes == first + 5 + nodes
+        assert calls == [(36, 0, None), (36, 12, None), (108, 0, None)]
+        calls.clear()
+        budget = first + 5 + 1000
+        res = find_triangle_decomposition(complete(9, 3), budget=budget)
+        assert res.status is SearchStatus.BUDGET and res.nodes == budget + 1
+        assert calls[-1] == (108, 0, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +693,9 @@ class TestParityWithTheParent:
 
     def test_grid_searches_pinned(self):
         # sha256 of the repr of every (status, cliques, nodes) on both
-        # grids, as the searches gave them before their set-up read the
-        # map directly
+        # grids.  The statuses are those of the exhaustive kernel; 3K_9,
+        # 4K_9 and GDD(1^9) at index 3 and 4 take the juxtaposition route
+        # (43 nodes each, 17,390 by the kernel alone)
         kn, gd = [], []
         for n in range(3, 10):
             for lam in range(1, 9):
@@ -640,12 +708,12 @@ class TestParityWithTheParent:
                 for lam in range(1, 9):
                     status, inst, nodes = search_simple_gdd(size, u, lam)
                     gd.append((size, u, lam, status.value, inst and inst.blocks, nodes))
-        assert sum(r[4] for r in kn) == 34960 and sum(r[5] for r in gd) == 35892
+        assert sum(r[4] for r in kn) == 266 and sum(r[5] for r in gd) == 1198
         assert hashlib.sha256(repr(kn).encode()).hexdigest() == (
-            "49c75e98da61d4740f83fb5458d098957465111ef372e21812648ade57d6e7eb"
+            "1ac5b67b33d4d0bad877b5a07f90c027e633e53d9e3ec230c9b920140035c81a"
         )
         assert hashlib.sha256(repr(gd).encode()).hexdigest() == (
-            "5be0542153c086d879b67a978d9f39df8bf2c634d87f9e319d129e2362066b57"
+            "b541795c581b478fb3c6d93964259fa97e2747095d27cdc7fba54f3c0227e595"
         )
 
 

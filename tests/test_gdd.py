@@ -10,11 +10,15 @@ import pytest
 
 import triplepack.decomp as decomp_mod
 import triplepack.gdd as gdd_mod
-from triplepack.decomp import SearchStatus, dehon_conditions, verify_decomposition
+from triplepack.decomp import (
+    SearchStatus,
+    _juxtaposed_blocks,
+    dehon_conditions,
+    verify_decomposition,
+)
 from triplepack.errors import InvalidParameterError
 from triplepack.gdd import (
     GddInstance,
-    _juxtaposed_blocks,
     assemble_simple_gdd,
     gadget_multigraph,
     lgdd_exists,
@@ -157,18 +161,19 @@ class TestSearch:
 
     def test_juxtaposed_disjoint_designs(self):
         # two disjoint index-1 designs on the same groups add up to index 2
-        blocks = _juxtaposed_blocks(2, 6, 2, None)
+        groups = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11))
+        blocks, _nodes = _juxtaposed_blocks(groups, 2, None)
         assert len(blocks) == len(set(blocks)) == 2 * 20
-        union = GddInstance(groups=((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)),
-                            blocks=blocks, lam=2)
+        union = GddInstance(groups=groups, blocks=blocks, lam=2)
         assert verify_gdd(union)
         assert assemble_simple_gdd(2, 6, 2) == union
 
     def test_juxtaposition_beyond_capacity(self):
         # two index-1 designs of 2^3 use all 8 transverse triples, so a
         # third disjoint one does not exist
-        assert len(_juxtaposed_blocks(2, 3, 2, None)) == 8
-        assert _juxtaposed_blocks(2, 3, 3, None) is None
+        groups = ((0, 1), (2, 3), (4, 5))
+        assert len(_juxtaposed_blocks(groups, 2, None)[0]) == 8
+        assert _juxtaposed_blocks(groups, 3, None)[0] is None
 
     def test_juxtapose_rejects_overlap(self):
         # a design laid over itself repeats every block: not a simple GDD

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triplepack.errors import InvalidParameterError
+from triplepack.leave import achieved_lower_bound
 from triplepack.params import (
     CaseLabel,
     classify,
@@ -125,9 +126,25 @@ class TestClassify:
 
 class TestUpperBound:
     def test_cases(self):
-        assert upper_bound(9, 5) == johnson_bound(9, 5, 3)  # r != 0
+        # r != 0: J - 1 in the subclass gamma = 0, gamma0 = k - 1 (D(9,5,3)
+        # = 3), J outside it
+        assert upper_bound(9, 5) == johnson_bound(9, 5, 3) - 1 == 6
+        assert upper_bound(10, 5) == johnson_bound(10, 5, 3)
         assert upper_bound(14, 5) == johnson_bound(14, 5, 3) - 3
         assert upper_bound(11, 5) == j_prime(11, 5)
+
+    def test_r_subclass_bound_is_attained(self):
+        # gamma = 0, gamma0 = k - 1 occurs for k = 5, 7, 9; there the
+        # R-case certificate gives up one block, and the bound meets it
+        seen = set()
+        for k in (5, 7, 9):
+            for n in range(k + 1, 600):
+                label, data = classify(n, k)
+                if label is CaseLabel.R_NONZERO and data.gamma == 0 and data.gamma0 == k - 1:
+                    xi, _cert = achieved_lower_bound(n, k)
+                    assert upper_bound(n, k) == xi == johnson_bound(n, k, 3) - 1, (n, k)
+                    seen.add(k)
+        assert seen == {5, 7, 9}
 
     def test_extra_reduction_needs_k_multiple_of_6(self):
         # find a qualifying (n, k): k = 12, p = 2
