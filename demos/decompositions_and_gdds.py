@@ -16,7 +16,6 @@ from triplepack.decomp import (
     verify_decomposition,
 )
 from triplepack.gdd import (
-    assemble_simple_gdd,
     gadget_multigraph,
     lgdd_exists,
     search_simple_gdd,
@@ -62,14 +61,14 @@ print(f"lgdd_exists(1, 9, 1) = {lgdd_exists(1, 9, 1)}")
 
 # ---------------------------------------------------------------------
 # Juxtaposition: disjoint simple GDDs with index 1 union into a simple
-# GDD with a higher index.  This is how big-lambda witnesses are
-# assembled without a big search.
+# GDD with a higher index.  The search takes this route itself, so
+# big-lambda witnesses are assembled without a big search.
 # ---------------------------------------------------------------------
-pair = assemble_simple_gdd(2, 6, 2)
+_, pair, _ = search_simple_gdd(2, 6, 2)
 print(f"\ntwo disjoint (3,1)-GDDs on 2^6 as a (3,2)-GDD: {verify_gdd(pair)} "
       f"({len(pair.blocks)} blocks)")
 
-big = assemble_simple_gdd(2, 6, 5)
+_, big, _ = search_simple_gdd(2, 6, 5)
 print(f"assembled (3,5)-GDD on 2^6: {big is not None and verify_gdd(big)}")
 print(f"  ({len(big.blocks)} distinct blocks; cap on lambda here is g(u-2) = 8)")
 

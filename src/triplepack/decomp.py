@@ -39,8 +39,6 @@ from math import comb
 from .errors import InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
 
-Triple = tuple[int, int, int]
-
 
 class SearchStatus(enum.Enum):
     FOUND = "found"
@@ -292,12 +290,6 @@ def check_budget(budget: int | None) -> None:
         raise InvalidParameterError(f"budget must be >= 0, got {budget}")
 
 
-# the juxtaposition route runs only where it needs three or more designs:
-# with two, the direct search was as fast or faster on every input of the
-# lam*K_n and gadget grids but one
-JUXTAPOSE_FROM = 3
-
-
 def find_triangle_decomposition(
     g: Multigraph, budget: int | None = None, forbidden=()
 ) -> DecompositionResult:
@@ -314,11 +306,11 @@ def find_triangle_decomposition(
     - mirror: on such an input with multiplicity above half that
       capacity, the search runs on the complementary multiplicity and the
       answer is complemented inside the transverse triples;
-    - juxtaposition: on such an input that needs three or more designs of
-      the least index b at which a simple GDD exists, they are searched one
-      after the other, each with the blocks of the earlier ones forbidden;
-      if any of them fails, the nodes spent count against the budget and
-      the kernel runs;
+    - juxtaposition: on such an input whose multiplicity is two or more
+      times the least index b at which a simple GDD exists, that many
+      designs of index b are searched one after the other, each with the
+      blocks of the earlier ones forbidden; if any of them fails, the
+      nodes spent count against the budget and the kernel runs;
     - the exhaustive kernel ``_triangle_search``.
 
     NONE comes only from the counting shortcuts and the kernel, never
@@ -349,23 +341,13 @@ def _find(g: Multigraph, budget: int | None, forbidden) -> DecompositionResult:
             if lam > cap:
                 return DecompositionResult(SearchStatus.NONE, None, 0)
             if 2 * lam > cap:
-                mirror = Multigraph(
-                    g.n,
-                    base=0,
-                    mult_map={
-                        (u, v): cap - lam
-                        for i, u in enumerate(active)
-                        for v in active[i + 1 :]
-                        if g.mult_map.get((u, v), g.base)
-                    },
-                )
-                res = _find(mirror, budget, ())
+                res = _find(_multipartite_graph(parts, cap - lam), budget, ())
                 if res.status is not SearchStatus.FOUND:
                     return res
                 keep = set(res.cliques)
                 out = tuple(t for t in transverse_triples(parts) if t not in keep)
                 return DecompositionResult(SearchStatus.FOUND, out, res.nodes)
-            blocks, spent = _juxtaposed_blocks(parts, lam, budget, JUXTAPOSE_FROM)
+            blocks, spent = _juxtaposed_blocks(parts, lam, budget)
             if blocks is not None:
                 return DecompositionResult(SearchStatus.FOUND, blocks, spent)
             if budget is not None:
@@ -380,35 +362,36 @@ def _find(g: Multigraph, budget: int | None, forbidden) -> DecompositionResult:
     return DecompositionResult(status, None, nodes)
 
 
-def _juxtaposed_blocks(parts, lam: int, budget: int | None, fewest: int = 1):
-    """(blocks, nodes): the sorted blocks of lam/b pairwise disjoint
-    simple (3, b)-GDDs on the equal-sized ``parts``, b the least divisor
-    of lam at which one exists, and the nodes their searches took.  Each
-    design is searched with the blocks of those before it forbidden, all
-    under one ``budget``.  The blocks are None when there is no such b,
-    when lam/b < ``fewest``, or when a search fails (no proof of
-    anything); the nodes then exceed ``budget`` exactly when it ran out.
-    The union is not verified here: the caller checks what it builds
-    from it, once."""
-    if lam == 0:
-        return (), 0
-    size, u = len(parts[0]), len(parts)
-    base = next(
-        (b for b in range(1, lam + 1) if lam % b == 0 and _simple_gdd_conditions(size, u, b)),
-        None,
-    )
-    if base is None or lam // base < fewest:
-        return None, 0
+def _multipartite_graph(parts, m: int) -> Multigraph:
+    """m times the complete multipartite graph on ``parts``, on the points
+    0..max point, with base 0."""
     part_of = {x: i for i, part in enumerate(parts) for x in part}
-    design = Multigraph(
+    return Multigraph(
         max(part_of) + 1,
         base=0,
         mult_map={
-            (x, y): base
-            for x, y in combinations(sorted(part_of), 2)
-            if part_of[x] != part_of[y]
+            (x, y): m for x, y in combinations(sorted(part_of), 2) if part_of[x] != part_of[y]
         },
     )
+
+
+def _juxtaposed_blocks(parts, lam: int, budget: int | None):
+    """(blocks, nodes): the sorted blocks of lam/b >= 2 pairwise disjoint
+    simple (3, b)-GDDs on the equal-sized ``parts``, b the least divisor
+    of lam at which one exists, and the nodes their searches took.  Each
+    design is searched with the blocks of those before it forbidden, all
+    under one ``budget``.  The blocks are None when there is no such b
+    below lam, or when a search fails (no proof of anything); the nodes
+    then exceed ``budget`` exactly when it ran out.  The union is not
+    verified here: the caller checks what it builds from it, once."""
+    size, u = len(parts[0]), len(parts)
+    base = next(
+        (b for b in range(1, lam) if lam % b == 0 and _simple_gdd_conditions(size, u, b)),
+        None,
+    )
+    if base is None:
+        return None, 0
+    design = _multipartite_graph(parts, base)
     used, spent = (), 0
     for _ in range(lam // base):
         left = None if budget is None else budget - spent

@@ -1,6 +1,5 @@
 """Group divisible designs: existence predicates, small exact search,
-assembly from disjoint designs, and the complete-multipartite gadget
-graphs.
+and the complete-multipartite gadget graphs.
 
 A (k, lam)-GDD is a point set partitioned into >= 2 groups together with
 k-subset blocks covering every cross-group pair exactly lam times and no
@@ -14,15 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .decomp import (
-    SearchStatus,
-    _find,
-    _juxtaposed_blocks,
-    _simple_gdd_conditions,
-    check_budget,
-    transverse_triples,
-    verify_decomposition,
-)
+from .decomp import SearchStatus, _find, _simple_gdd_conditions, check_budget, verify_decomposition
 from .errors import InvalidParameterError, TriplepackError
 from .multigraph import Multigraph
 
@@ -132,7 +123,7 @@ def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
     distinct triangle decompositions of the gadget multigraph, taken by
     the routes of ``find_triangle_decomposition``: the counting
     shortcuts, the mirror onto the complementary index, juxtaposition of
-    three or more disjoint designs of the least index, and the exhaustive
+    two or more disjoint designs of the least index, and the exhaustive
     kernel.  NONE is exhaustive, no such design exists, and comes only
     from the counting shortcuts and the kernel.  A negative ``budget`` is
     refused.  A found design is checked once, by ``verify_gdd``.
@@ -150,37 +141,3 @@ def search_simple_gdd(g: int, u: int, lam: int, budget: int | None = None):
         raise TriplepackError("searched GDD failed verification")
     return SearchStatus.FOUND, inst, res.nodes
 
-
-def assemble_simple_gdd(
-    g: int, u: int, lam: int, budget: int | None = None
-) -> GddInstance | None:
-    """Construct a simple (3, lam)-GDD(g^u) on contiguous groups, trying
-    cheap routes before exact search.
-
-    Routes, in order: juxtaposition of disjoint minimal-index designs
-    summing to lam; the same for the complementary index cap - lam,
-    complemented within the transverse triples (every cross pair lies in
-    exactly cap = g(u-2) of them); exact search.  The designs of one
-    juxtaposition share the budget.  Returns None only when
-    every route failed inconclusively; when simple_gdd_exists is false
-    the caller should not ask.  A negative ``budget`` is refused.  The
-    returned design is checked once, by ``verify_gdd``.
-    """
-    check_budget(budget)
-    cap = g * (u - 2)
-    if not 0 <= lam <= cap:
-        return None
-    groups = _contiguous_groups(g, u)
-    targets = sorted(((lam, False), (cap - lam, True)), key=lambda t: t[0])
-    for target, complement in targets:
-        blocks, _nodes = _juxtaposed_blocks(groups, target, budget)
-        if blocks is None:
-            continue
-        if complement:
-            used = set(blocks)
-            blocks = tuple(t for t in transverse_triples(groups) if t not in used)
-        inst = GddInstance(groups=groups, blocks=blocks, lam=lam)
-        if verify_gdd(inst):
-            return inst
-    status, inst, _ = search_simple_gdd(g, u, lam, budget=budget)
-    return inst if status is SearchStatus.FOUND else None

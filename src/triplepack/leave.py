@@ -31,7 +31,7 @@ from collections import namedtuple
 from functools import cache
 from math import comb, gcd
 
-from .decomp import dehon_conditions, verify_decomposition
+from .decomp import SearchStatus, dehon_conditions, verify_decomposition
 from .errors import (
     InfeasibleSequenceError,
     InvalidParameterError,
@@ -40,7 +40,7 @@ from .errors import (
     TriplepackError,
     WrongCaseError,
 )
-from .gdd import SEARCH_CAP, assemble_simple_gdd, gadget_multigraph, simple_gdd_exists
+from .gdd import SEARCH_CAP, gadget_multigraph, search_simple_gdd, simple_gdd_exists
 from .multigraph import (
     Multigraph,
     _havel_hakimi,
@@ -344,14 +344,14 @@ def _gadget_candidates(k: int, p: int) -> tuple:
 def _gadget_witness(g: int, u: int, lam: int) -> tuple:
     """The blocks of an explicit simple (3, lam)-GDD(g^u), searched once
     per parameters."""
-    inst = assemble_simple_gdd(g, u, lam, budget=2_000_000)
-    _require(inst is not None, "explicit simple-GDD witness found")
+    status, inst, _ = search_simple_gdd(g, u, lam, budget=2_000_000)
+    _require(status is SearchStatus.FOUND, "explicit simple-GDD witness found")
     return inst.blocks
 
 
 def _gadget_evidence(c: _Gadget, k: int, copies: int) -> EvidenceItem:
     blocks = None
-    if c.order <= SEARCH_CAP:  # the witness's fallback search refuses larger gadgets
+    if c.order <= SEARCH_CAP:  # search_simple_gdd refuses larger gadgets
         blocks = _gadget_witness(c.g, c.u, k - 2)
     return EvidenceItem(
         kind="simple-gdd", params=(c.g, c.u, k - 2), copies=copies, blocks=blocks

@@ -174,7 +174,9 @@ class Multigraph:
         )
 
     def __hash__(self):
-        return hash((self.n, self.base, tuple(sorted(self.mult_map.items()))))
+        # equal graphs can differ in base, so hash what they share
+        deg, edges, _top = self._inv
+        return hash((self.n, edges, tuple(deg)))
 
     def __repr__(self):
         name = type(self).__qualname__

@@ -31,7 +31,12 @@ class BlockCollection(namedtuple("BlockCollection", "n k t lam blocks")):
 
 
 def verify_packing(bc: BlockCollection) -> bool:
-    """Exhaustive check that every t-subset lies in at most lam blocks."""
+    """Exhaustive check that every t-subset lies in at most lam blocks.
+    Parameters outside n >= k >= t >= 1, lam >= 0 are refused."""
+    if not (bc.n >= bc.k >= bc.t >= 1 and bc.lam >= 0):
+        raise InvalidParameterError(
+            f"need n >= k >= t >= 1, lam >= 0, got {(bc.n, bc.k, bc.t, bc.lam)}"
+        )
     cover = {}
     for b in bc.blocks:
         if len(b) != bc.k or len(set(b)) != bc.k:

@@ -363,6 +363,10 @@ def _malformed_inputs(tmp_path):
         "huge": {"n": 2**70, "base": 1},
         "k2": {**cert, "k": 2},
         "k3": {**cert, "k": 3},
+        # packings outside n >= k >= t >= 1, lam >= 0
+        "lam-neg": {"n": 5, "k": 3, "t": 3, "lambda": -1, "blocks": []},
+        "n-neg": {"n": -4, "k": 3, "t": 3, "lambda": 1, "blocks": []},
+        "t-above-k": {"n": 5, "k": 3, "t": 4, "lambda": 1, "blocks": [[0, 1, 2], [0, 1, 2]]},
     }
     for name, payload in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
@@ -384,11 +388,16 @@ def _malformed_inputs(tmp_path):
     # certificates outside n > k >= 4
     ({}, ["verify", "k2.json"]),
     ({}, ["verify", "k3.json"]),
+    # packings outside n >= k >= t >= 1, lam >= 0
+    ({}, ["verify", "lam-neg.json"]),
+    ({}, ["verify", "n-neg.json"]),
+    ({}, ["verify", "t-above-k.json"]),
     # refused after the first row is known
     ({}, ["classify", "--k", "2", "--n", "5"]),
 ], ids=["budget-env", "params-list", "graph-list", "decompose-list", "directory",
         "construct-huge-n", "construct-n-equals-k", "construct-k3", "bounds-huge-n",
         "verify-huge-n", "verify-k2", "verify-k3",
+        "verify-packing-lam-neg", "verify-packing-n-neg", "verify-packing-t-above-k",
         "classify-k2"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, env, argv):
     _malformed_inputs(tmp_path)

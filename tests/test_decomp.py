@@ -408,6 +408,17 @@ class TestJuxtaposition:
         assert len(res.cliques) == lam * m * (m - 1) // 6
         assert verify_decomposition(g, res.cliques)
 
+    @pytest.mark.parametrize("g, nodes", [
+        (complete(7, 2), 14),  # two disjoint STS(7)
+        (gadget_multigraph(1, 10, 4), 77),  # two disjoint (3, 2)-GDD(1^10)
+    ])
+    def test_two_designs_juxtaposed(self, g, nodes):
+        # the route runs from two designs of the least index on: the kernel
+        # alone takes 49 nodes on 2K_7 and 763 on GDD(1^10) at index 4
+        res = find_triangle_decomposition(g)
+        assert res.status is SearchStatus.FOUND and res.nodes == nodes
+        assert verify_decomposition(g, res.cliques)
+
     def test_routed_answers_pinned(self):
         # 4K_9 is mirrored onto 3K_9 and complemented; GDD(1^9) is 3K_9
         direct = find_triangle_decomposition(complete(9, 3))
@@ -693,9 +704,10 @@ class TestParityWithTheParent:
 
     def test_grid_searches_pinned(self):
         # sha256 of the repr of every (status, cliques, nodes) on both
-        # grids.  The statuses are those of the exhaustive kernel; 3K_9,
-        # 4K_9 and GDD(1^9) at index 3 and 4 take the juxtaposition route
-        # (43 nodes each, 17,390 by the kernel alone)
+        # grids, and of the statuses alone, which are those of the
+        # exhaustive kernel.  An input whose index is two or more times the
+        # least index b at which a design exists takes the juxtaposition
+        # route (3K_9 in 43 nodes, 17,390 by the kernel alone)
         kn, gd = [], []
         for n in range(3, 10):
             for lam in range(1, 9):
@@ -708,12 +720,16 @@ class TestParityWithTheParent:
                 for lam in range(1, 9):
                     status, inst, nodes = search_simple_gdd(size, u, lam)
                     gd.append((size, u, lam, status.value, inst and inst.blocks, nodes))
-        assert sum(r[4] for r in kn) == 266 and sum(r[5] for r in gd) == 1198
+        statuses = [r[:3] for r in kn] + [r[:4] for r in gd]
+        assert hashlib.sha256(repr(statuses).encode()).hexdigest() == (
+            "6fea2e9cc3c70bda6632cde870cdfd7b72fef32d2d545b6b6e7ea368def63950"
+        )
+        assert sum(r[4] for r in kn) == 224 and sum(r[5] for r in gd) == 471
         assert hashlib.sha256(repr(kn).encode()).hexdigest() == (
-            "1ac5b67b33d4d0bad877b5a07f90c027e633e53d9e3ec230c9b920140035c81a"
+            "e8cb8b64a6c911a8f0bd30b8c7ba621c53a8a4fabd6624ae899eb39d81d4ac41"
         )
         assert hashlib.sha256(repr(gd).encode()).hexdigest() == (
-            "b541795c581b478fb3c6d93964259fa97e2747095d27cdc7fba54f3c0227e595"
+            "21d048f66a69fa9b2fd414129f24a965f2ca3e33b111c1cdc383af6264a6b161"
         )
 
 

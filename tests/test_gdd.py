@@ -1,4 +1,4 @@
-"""Group divisible designs: predicates, search and assembly."""
+"""Group divisible designs: predicates, search and juxtaposition."""
 
 import json
 import os
@@ -19,7 +19,6 @@ from triplepack.decomp import (
 from triplepack.errors import InvalidParameterError
 from triplepack.gdd import (
     GddInstance,
-    assemble_simple_gdd,
     gadget_multigraph,
     lgdd_exists,
     search_simple_gdd,
@@ -166,7 +165,8 @@ class TestSearch:
         assert len(blocks) == len(set(blocks)) == 2 * 20
         union = GddInstance(groups=groups, blocks=blocks, lam=2)
         assert verify_gdd(union)
-        assert assemble_simple_gdd(2, 6, 2) == union
+        status, inst, _nodes = search_simple_gdd(2, 6, 2)
+        assert status is SearchStatus.FOUND and inst == union
 
     def test_juxtaposition_beyond_capacity(self):
         # two index-1 designs of 2^3 use all 8 transverse triples, so a
@@ -182,15 +182,15 @@ class TestSearch:
         twice = inst._replace(blocks=tuple(sorted(inst.blocks * 2)), lam=2)
         assert not verify_gdd(twice)
 
-    def test_assemble_hard_index(self):
+    def test_hard_index_found(self):
         # (3,5)-GDD(2^6): slow for plain backtracking, fast by
         # complementing three disjoint index-1 designs
-        inst = assemble_simple_gdd(2, 6, 5)
-        assert inst is not None
+        status, inst, _nodes = search_simple_gdd(2, 6, 5)
+        assert status is SearchStatus.FOUND
         assert verify_gdd(inst)
         assert verify_decomposition(gadget_multigraph(2, 6, 5), inst.blocks)
 
-    def test_assembly_verifies_once(self, monkeypatch):
+    def test_found_design_verified_once(self, monkeypatch):
         # only the returned design is checked, not the designs it is made of
         calls = []
         check = decomp_mod.verify_decomposition
@@ -201,19 +201,15 @@ class TestSearch:
 
         for module in (gdd_mod, decomp_mod):
             monkeypatch.setattr(module, "verify_decomposition", counted)
-        assert assemble_simple_gdd(2, 6, 5) is not None
+        assert search_simple_gdd(2, 6, 5)[0] is SearchStatus.FOUND
         assert calls == [(12, 300)]
 
-    def test_assemble_negative_budget_refused(self):
-        with pytest.raises(InvalidParameterError):
-            assemble_simple_gdd(2, 6, 5, budget=-1)
-
-    def test_assemble_extremes(self):
-        # lam = cap: all transverse triples
+    def test_index_at_and_above_capacity(self):
+        # lam = cap: all transverse triples; above it, none exists
         cap = 2 * (3 - 2)
-        inst = assemble_simple_gdd(2, 3, cap)
-        assert inst is not None and verify_gdd(inst)
-        assert assemble_simple_gdd(2, 3, cap + 1) is None
+        status, inst, _nodes = search_simple_gdd(2, 3, cap)
+        assert status is SearchStatus.FOUND and verify_gdd(inst)
+        assert search_simple_gdd(2, 3, cap + 1) == (SearchStatus.NONE, None, 0)
 
 
 def test_search_postcondition_survives_optimize_flag():

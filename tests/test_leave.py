@@ -235,6 +235,30 @@ class TestCaseP:
                     gadget_multigraph(g, u, lam), item.blocks
                 )
 
+    def test_emitted_witnesses_pinned(self):
+        # every gadget type that carries blocks in a P-case certificate for
+        # k = 5..9, n < 400, and the sha256 of the repr of its blocks in
+        # type order: a change of search route that picks other witnesses
+        # changes certificate bytes, and must show here
+        types = set()
+        for k in range(5, 10):
+            for n in range(k + 1, 400):
+                if classify(n, k)[0] is CaseLabel.P_NONZERO:
+                    try:
+                        cert = construct_p_leave(n, k)
+                    except TriplepackError:
+                        continue
+                    types |= {e.params for e in cert.evidence if e.blocks}
+        assert sorted(types) == [
+            (1, 7, 3), (1, 9, 4), (1, 9, 6), (1, 10, 4), (1, 10, 6), (1, 11, 3),
+            (2, 4, 3), (2, 5, 6), (2, 6, 3), (2, 6, 5), (2, 6, 7),
+            (3, 3, 3), (3, 4, 4), (3, 4, 6), (4, 3, 4),
+        ]
+        blocks = [leave._gadget_witness(*t) for t in sorted(types)]
+        assert hashlib.sha256(repr(blocks).encode()).hexdigest() == (
+            "a035d4b2b7d7185dc3f1281b0bd673bdac291b6f5283cfc98a63b4b735f9b6d4"
+        )
+
     def test_large_n_fast_and_sound(self):
         cert = construct_p_leave(1902, 7)
         assert cert.conditions().all_pass()

@@ -126,6 +126,17 @@ class TestMultigraph:
         assert g.edge_count() == 8
         g.validate()
 
+    @pytest.mark.parametrize("a, b", [
+        (complete(3, 1), Multigraph(3, 0, {(0, 1): 1, (0, 2): 1, (1, 2): 1})),
+        (Multigraph(4, 2, {(0, 1): 5, (2, 3): 0}),
+         Multigraph(4, 0, {(0, 1): 5, (0, 2): 2, (0, 3): 2, (1, 2): 2, (1, 3): 2})),
+        (Multigraph(2, 7, {(0, 1): 0}), Multigraph(2)),
+    ])
+    def test_equal_graphs_hash_equal_across_bases(self, a, b):
+        # equality compares the graphs, not their base, so the hash must too
+        assert a.base != b.base and a == b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
     @pytest.mark.parametrize("mult_map", [{(1, 0): 2, (0, 1): 3}, {(0, 1): 3, (1, 0): 2}])
     def test_rejects_pair_in_both_orientations(self, mult_map):
         with pytest.raises(InvalidParameterError, match="both orientations"):

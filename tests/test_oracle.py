@@ -33,6 +33,19 @@ class TestVerifyPacking:
         assert not verify_packing(BlockCollection(5, 3, 2, 1, ((0, 1, 1),)))
         assert not verify_packing(BlockCollection(5, 3, 2, 1, ((0, 1, 9),)))
 
+    @pytest.mark.parametrize("n, k, t, lam, blocks", [
+        (5, 3, 3, -1, ()),
+        (-4, 3, 3, 1, ()),
+        (5, 3, 4, 1, ((0, 1, 2), (0, 1, 2))),
+        (2, 3, 2, 1, ()),
+        (5, 3, 0, 1, ()),
+    ], ids=["lam-neg", "n-neg", "t-above-k", "k-above-n", "t-zero"])
+    def test_refuses_parameters_outside_the_max_packing_range(self, n, k, t, lam, blocks):
+        # no claim is made outside n >= k >= t >= 1, lam >= 0, so none is
+        # called ok: an empty or repeated block list would pass vacuously
+        with pytest.raises(InvalidParameterError):
+            verify_packing(BlockCollection(n, k, t, lam, blocks))
+
 
 class TestMaxPacking:
     def test_fano(self):
