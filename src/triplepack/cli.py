@@ -2,10 +2,10 @@
 
 Subcommands: bounds, classify, construct, decompose, gdd, dioph, brute,
 verify.  Exit codes: 0 success, 1 verification failed or no witness
-where one was demanded, 2 invalid input, 3 budget exceeded.  The
-TRIPLEPACK_BUDGET environment variable sets the default search budget.
-Each command imports the package modules it runs, so a fresh process
-loads only those.
+where one was demanded, 2 invalid input (an n too large for memory
+included), 3 budget exceeded.  The TRIPLEPACK_BUDGET environment
+variable sets the default search budget.  Each command imports the
+package modules it runs, so a fresh process loads only those.
 """
 
 from __future__ import annotations
@@ -301,6 +301,10 @@ def main(argv=None) -> int:
     # be read or written (OSError)
     except (TriplepackError, OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return BAD_INPUT
+    # a size whose lists do not fit in memory (MemoryError carries no text)
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
         return BAD_INPUT
 
 

@@ -10,7 +10,8 @@ on disk.
 
 Readers refuse every number that is not a JSON integer (floats, booleans,
 strings) with InvalidParameterError instead of rounding it, and likewise
-any other value where a JSON object is expected.
+any other value where a JSON object is expected, and an edge row that is
+not three values.
 
 Each reader imports its target type when it is called, so a process that
 only writes, or reads one kind of artifact, loads no other package module.
@@ -33,7 +34,10 @@ if TYPE_CHECKING:
 
 def multigraph_to_dict(g: Multigraph) -> dict:
     mults = g.mult_map  # sorting the pairs alone is about 3x faster than the items
-    out = {"n": g.n, "edges": [[u, v, mults[u, v]] for u, v in sorted(mults)]}
+    pairs = sorted(mults)
+    # a [u, v, m] display builds an exact-size row; [*p, m] over-allocates
+    rows = [[u, v, m] for (u, v), m in zip(pairs, map(mults.__getitem__, pairs))]
+    out = {"n": g.n, "edges": rows}
     if g.base:
         out["base"] = g.base
     return out
@@ -56,12 +60,12 @@ def _obj(d) -> dict:
 def multigraph_from_dict(d: dict) -> Multigraph:
     from .multigraph import Multigraph
 
-    mult_map = {}
     edges = _obj(d).get("edges", [])
-    for u, v, m in edges:
-        if type(u) is not int or type(v) is not int or type(m) is not int:
-            raise InvalidParameterError(f"edge entries must be integers, got {[u, v, m]}")
-        mult_map[(u, v)] = m
+    try:
+        mult_map = {(u, v): m for u, v, m in edges}
+    except (TypeError, ValueError):  # a row that is not three values, or unhashable
+        raise InvalidParameterError("each edge must be a row [u, v, mult]") from None
+    # Multigraph refuses labels and multiplicities that are not integers
     if len(mult_map) != len(edges):
         raise InvalidParameterError("a pair is listed more than once")
     return Multigraph(_int(d["n"]), base=_int(d.get("base", 0)), mult_map=mult_map)
@@ -190,8 +194,12 @@ def dioph_solution(d: dict):
 
 
 def dumps(obj: dict) -> str:
-    """Canonical compact JSON: sorted keys, no whitespace, one line."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical compact JSON: sorted keys, no whitespace, one line.
+
+    Every artifact is a tree that the writers above build, so the encoder
+    skips its cycle check; a cyclic object raises RecursionError.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def identify(d: dict) -> str:

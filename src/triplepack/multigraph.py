@@ -6,7 +6,8 @@ map of exceptional pairs.  Leave graphs are either sparse (base 0) or
 split keeps both cheap at n in the thousands.
 
 Vertices are labeled 0..n-1, no loops, multiplicities are non-negative
-integers; a pair absent from the map has multiplicity ``base``.
+integers (labels and multiplicities are ints, never bools); a pair absent
+from the map has multiplicity ``base``.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ def _bad_entry(u: int, v: int, n: int) -> str:
 
 def _canonical_degrees(n: int, base: int, mult_map: dict):
     """The degrees of the graph when its map is canonical (every pair
-    oriented u < v with labels in range, every multiplicity non-negative
-    and != base), else None."""
+    oriented u < v with labels in range and not bool, every multiplicity
+    non-negative and != base), else None."""
     deg = [base * (n - 1)] * n
     try:
         for (u, v), m in mult_map.items():
             if not (0 <= u < v < n and 0 <= m != base):
+                return None
+            if u < 2 and (type(u) is bool or type(v) is bool):  # only 0 and 1 can be
                 return None
             m -= base
             deg[u] += m  # a label that is not an int fails here
@@ -209,16 +212,16 @@ def disjoint_union(graphs, pad_to_n: int) -> Multigraph:
         raise InvalidParameterError(
             f"pad_to_n={pad_to_n} smaller than total order {total}"
         )
-    mult = {}
+    placed = []  # (offset, support list)
     offset = 0
     support = {}  # id -> support list; a leave repeats the same component
     for g in graphs:
         pairs = support.get(id(g))
         if pairs is None:
             pairs = support[id(g)] = list(g.support_pairs())
-        for u, v, m in pairs:
-            mult[(u + offset, v + offset)] = m
+        placed.append((offset, pairs))
         offset += g.n
+    mult = {(u + o, v + o): m for o, pairs in placed for u, v, m in pairs}
     return Multigraph(pad_to_n, base=0, mult_map=mult)
 
 

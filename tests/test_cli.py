@@ -361,6 +361,9 @@ def _malformed_inputs(tmp_path):
         "graph": {**cert, "graph": [1]},
         "list": [1, 2],
         "huge": {"n": 2**70, "base": 1},
+        # 2**61 fits an index, but a list of that size cannot be allocated
+        "cert-2-61": {**cert, "n": 2**61, "graph": {**cert["graph"], "n": 2**61}},
+        "graph-2-61": {"n": 2**61, "edges": []},
         "k2": {**cert, "k": 2},
         "k3": {**cert, "k": 3},
         # packings outside n >= k >= t >= 1, lam >= 0
@@ -385,6 +388,9 @@ def _malformed_inputs(tmp_path):
     ({}, ["construct", "--n", "10", "--k", "3"]),
     ({}, ["bounds", "--k", "5", "--n", "99999999999999999999999"]),
     ({}, ["verify", "huge.json"]),
+    ({}, ["verify", "cert-2-61.json"]),
+    ({}, ["construct", "--n", str(2**61 + 1), "--k", "5"]),
+    ({}, ["decompose", "--input", "graph-2-61.json"]),
     # certificates outside n > k >= 4
     ({}, ["verify", "k2.json"]),
     ({}, ["verify", "k3.json"]),
@@ -396,7 +402,8 @@ def _malformed_inputs(tmp_path):
     ({}, ["classify", "--k", "2", "--n", "5"]),
 ], ids=["budget-env", "params-list", "graph-list", "decompose-list", "directory",
         "construct-huge-n", "construct-n-equals-k", "construct-k3", "bounds-huge-n",
-        "verify-huge-n", "verify-k2", "verify-k3",
+        "verify-huge-n", "verify-2-61", "construct-2-61", "decompose-2-61",
+        "verify-k2", "verify-k3",
         "verify-packing-lam-neg", "verify-packing-n-neg", "verify-packing-t-above-k",
         "classify-k2"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, env, argv):

@@ -217,8 +217,12 @@ class TestMultigraph:
         {(1, 0): 2.5},
         {(0, 1): True},
         {(0, 1): 2, (0, 2): 2.0},
+        {(True, 2): 1},
+        {(0, True): 1},
+        {(2, True): 1},
     ], ids=["float-labels", "float-labels-reversed", "float-mult",
-            "float-mult-reversed", "bool-mult", "float-equal-to-an-int"])
+            "float-mult-reversed", "bool-mult", "float-equal-to-an-int",
+            "bool-label", "bool-label-second", "bool-label-reversed"])
     def test_refuses_non_integer_labels_and_multiplicities(self, mults):
         with pytest.raises(InvalidParameterError):
             Multigraph(3, mult_map=mults)
