@@ -50,7 +50,8 @@ reduction, and the package and standard-library modules a command loads
 
 With ``--e2e-pairs N`` the script also runs ``perfbench/run.py --trace 0``
 on the layer's workload in both trees, N pairs of runs on seeds from
-``--e2e-first-seed``, the side that runs first alternating, and records
+``--e2e-first-seed``, the side that runs first alternating, each run
+forked from a small shell so that its ``peak_rss_mb`` is its own, and records
 each end-to-end metric's median and quartiles per side and the number of
 pairs the change wins.  Keys of an existing output file that this run does
 not write are kept, so one file can hold all three layers.
@@ -374,6 +375,18 @@ def compare(runs: dict) -> dict:
     }
 
 
+def launch(args: list, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``args`` in a process that a shell forks, and wait for it.
+
+    Linux carries ``ru_maxrss`` across fork and exec, so a process started
+    straight from this one would report this one's peak memory as its own
+    whenever that is higher.  Forked from a small shell, it starts from
+    the shell's; ``exit $?`` keeps the shell from exec-ing it in place.
+    """
+    return subprocess.run(["/bin/sh", "-c", '"$0" "$@"; exit $?', *args],
+                          cwd=cwd, capture_output=True, text=True, check=True)
+
+
 def e2e_runs(trees: dict, workload: str, seeds: range) -> dict:
     """Pairs of ``perfbench/run.py`` runs, the side that goes first alternating."""
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
@@ -383,11 +396,9 @@ def e2e_runs(trees: dict, workload: str, seeds: range) -> dict:
     passes = {side: [] for side in trees}
     for i, seed in enumerate(seeds):
         for side in sorted(trees, reverse=i % 2 == 1):
-            proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                 "--seconds", seconds, "--trace", "0"],
-                cwd=trees[side], capture_output=True, text=True, check=True,
-            )
+            proc = launch([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", seconds, "--trace", "0"],
+                          cwd=trees[side])
             runs[side].append(json.loads(proc.stdout.splitlines()[-1]))
             passes[side].append(int(re.search(r": (\d+) passes of", proc.stdout).group(1)))
             print(f"{workload} seed {seed} {side}: op_tail_ms "

@@ -11,6 +11,7 @@ import enum
 from collections import namedtuple
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .decomp import (
     SearchStatus,
@@ -77,6 +78,14 @@ def _decide_packing(n, k, t, target, budget):
     block whose minimal t-subset it is.  Returns (found, blocks, nodes):
     (True, blocks, nodes), (False, None, nodes) for exhausted, or
     (None, None, nodes) on the node past ``budget``.
+
+    A candidate block is tau plus k - t extra points, all above max tau,
+    and each of its t-subsets is cleared once: tau by the scan (it is the
+    first uncovered one), those with one extra point by the filter that
+    picks the extra points, and those with two or more (none when
+    k - t = 1) by the block test.  The filter's verdicts hold for every
+    block of the node, since each recursion undoes its own covers.  Every
+    subset is built sorted, as the index keys are, without sorting.
     """
     total = comb(n, t)
     leave_budget = total - target * comb(k, t)
@@ -87,6 +96,10 @@ def _decide_packing(n, k, t, target, budget):
     covered = [False] * total
     chosen = []
     nodes = 0
+    # (j, a getter of j of the k - t extra points) for each choice of
+    # j >= 2 of them; itemgetter of two or more items returns a tuple
+    extra_picks = [(j, itemgetter(*c)) for j in range(2, min(t, k - t) + 1)
+                   for c in combinations(range(k - t), j)]
 
     def cover_block(block, flag):
         for sub in combinations(block, t):
@@ -105,29 +118,34 @@ def _decide_packing(n, k, t, target, budget):
         if pos == total:
             return False  # blocks left but nothing uncovered
         tau = subsets[pos]
-        top = tau[-1]
         # cover tau by a block whose minimal t-subset is tau
+        heads = list(combinations(tau, t - 1))
         ext = [
             v
-            for v in range(top + 1, n)
-            if all(not covered[index[tuple(sorted(s + (v,)))]]
-                   for s in combinations(tau, t - 1))
+            for v in range(tau[-1] + 1, n)
+            if not any(covered[index[s + (v,)]] for s in heads)
         ]
-        for extra in combinations(ext, k - t):
-            block = tau + extra
-            if any(
-                covered[index[sub]] for sub in combinations(block, t)
-            ):
-                continue
-            cover_block(block, True)
-            chosen.append(block)
-            res = recurse(pos, leave, blocks_left - 1)
-            if res:
-                return res
-            chosen.pop()
-            cover_block(block, False)
-            if res is None:
-                return None
+        extras = ()
+        if len(ext) >= k - t:  # most nodes have no block to test
+            extras = combinations(ext, k - t)
+            # each subset with j >= 2 extra points, as its part in tau and
+            # the getter of its extra points
+            plan = [(s, pick) for j, pick in extra_picks for s in combinations(tau, t - j)]
+        for extra in extras:
+            for s, pick in plan:
+                if covered[index[s + pick(extra)]]:
+                    break
+            else:
+                block = tau + extra
+                cover_block(block, True)
+                chosen.append(block)
+                res = recurse(pos, leave, blocks_left - 1)
+                if res:
+                    return res
+                chosen.pop()
+                cover_block(block, False)
+                if res is None:
+                    return None
         if leave > 0:
             covered[pos] = True
             res = recurse(pos + 1, leave - 1, blocks_left)

@@ -1,9 +1,11 @@
 """Smoke test of the bench harness: each layer's measuring step, run twice
 on this tree with one repeat, gives rows with answers the workload's
 checks accept, answer digests and work counters, and the same answers
-both times."""
+both times; and each end-to-end run reports its own peak memory."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,17 @@ def test_answers_gate_the_report():
         wrong = [{**rows[0], "answer": answer}]
         with pytest.raises(compare.AnswersDiffer, match="a"):
             compare.compare({"parent": [rows], "change": [wrong]})
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss survives fork and exec on Linux")
+def test_each_run_reports_its_own_peak_memory():
+    probe = [sys.executable, "-c",
+             "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"]
+    ballast = b"x" * (64 << 20)  # this process's peak is now above 64 MB
+    direct = int(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
+    launched = int(compare.launch(probe).stdout)
+    del ballast
+    # ru_maxrss is in KiB: started straight from here, the probe reads this
+    # process's peak; through the launcher, its own (a bare interpreter)
+    assert direct > 64 << 10
+    assert launched < 32 << 10

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,115 @@ class TestMaxPacking:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["raised"]
+
+
+def reference_decide_packing(n, k, t, target, budget):
+    """``oracle._decide_packing`` as it was before it built its index keys
+    without sorting and left to the scan and the filter the t-subsets they
+    clear: the same search, with every key sorted and every t-subset of
+    every candidate block checked."""
+    total = comb(n, t)
+    leave_budget = total - target * comb(k, t)
+    if leave_budget < 0:
+        return False, None, 0
+    subsets = list(combinations(range(n), t))
+    index = {s: i for i, s in enumerate(subsets)}
+    covered = [False] * total
+    chosen = []
+    nodes = 0
+
+    def cover_block(block, flag):
+        for sub in combinations(block, t):
+            covered[index[sub]] = flag
+
+    def recurse(pos, leave, blocks_left):
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return None
+        while pos < total and covered[pos]:
+            pos += 1
+        if blocks_left == 0:
+            uncovered = (total - pos) - sum(covered[pos:])
+            return uncovered <= leave
+        if pos == total:
+            return False
+        tau = subsets[pos]
+        top = tau[-1]
+        ext = [
+            v
+            for v in range(top + 1, n)
+            if all(not covered[index[tuple(sorted(s + (v,)))]]
+                   for s in combinations(tau, t - 1))
+        ]
+        for extra in combinations(ext, k - t):
+            block = tau + extra
+            if any(
+                covered[index[sub]] for sub in combinations(block, t)
+            ):
+                continue
+            cover_block(block, True)
+            chosen.append(block)
+            res = recurse(pos, leave, blocks_left - 1)
+            if res:
+                return res
+            chosen.pop()
+            cover_block(block, False)
+            if res is None:
+                return None
+        if leave > 0:
+            covered[pos] = True
+            res = recurse(pos + 1, leave - 1, blocks_left)
+            covered[pos] = False
+            return res
+        return False
+
+    if target == 0:
+        return True, (), 0
+    first = tuple(range(k))
+    cover_block(first, True)
+    chosen.append(first)
+    res = recurse(0, leave_budget, target - 1)
+    if res is True:
+        return True, tuple(chosen), nodes
+    return res, None, nodes
+
+
+def walk_targets(n, k, t, budget):
+    """(found, cases) of both searches at each target from J + 1 down to
+    the first found, asserting they agree."""
+    found, cases = set(), 0
+    for target in range(johnson_bound(n, k, t) + 1, -1, -1):
+        expected = reference_decide_packing(n, k, t, target, budget)
+        assert oracle._decide_packing(n, k, t, target, budget) == expected, (
+            n, k, t, target, budget)
+        found.add(expected[0])
+        cases += 1
+        if expected[0]:
+            break
+    return found, cases
+
+
+def test_decide_packing_walks_the_reference_tree():
+    # every n <= 8, k, t >= 1 and budget None or 50, each target from
+    # J + 1 down to the first found
+    found, cases = set(), 0
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for t in range(1, k + 1):
+                for budget in (None, 50):
+                    more, count = walk_targets(n, k, t, budget)
+                    found |= more
+                    cases += count
+    assert cases == 542 and found == {True, False, None}
+
+
+@pytest.mark.parametrize("n, k, t", [(11, 6, 3), (12, 7, 4), (13, 7, 3)])
+def test_decide_packing_walks_the_reference_tree_past_two_extra_points(n, k, t):
+    # two blocks of a packing at n <= 8 with k - t >= 3 share t points, so
+    # only larger n test the subsets with three extra points: here a block
+    # test that skips them walks another tree
+    walk_targets(n, k, t, budget=2000)
 
 
 class TestBricks:
