@@ -121,6 +121,15 @@ def _triangle_search(g: Multigraph, forbidden, budget: int | None):
 
     Returns (status, list-of-triples, nodes); every subset of triangles
     tried is one node, and BUDGET is returned on the node past ``budget``.
+
+    The search is one loop over an explicit stack, so its depth has no
+    limit but memory.  Each branching pair (a, b) pushes a frame
+    ``[a, b, ab, ba, need, subsets, applied]``: ``ab`` and ``ba`` index
+    ``rem``, ``need`` is the multiplicity the pair had, ``subsets`` the
+    live iterator of its third-vertex subsets and ``applied`` the subset
+    applied below it (empty before the first).  Only NONE climbs the
+    stack; FOUND reads the triangles off the frames, deepest first, and
+    BUDGET ends the search.
     """
     active = g.active_vertices()
     size = len(active)
@@ -152,13 +161,12 @@ def _triangle_search(g: Multigraph, forbidden, budget: int | None):
             allowed[a * size + c] &= ~bits[b]
             allowed[b * size + c] &= ~bits[a]
 
-    out = []
     nodes = 0
-
-    def search():
+    stack = []
+    while True:
         # most-constrained pair first: the first strict minimum of
-        # C(candidates, need) in lexicographic pair order
-        nonlocal nodes
+        # C(candidates, need) in lexicographic pair order; False when a
+        # pair has fewer candidates than it needs
         best = None
         for a, b, ab in pairs:
             need = rem[ab]
@@ -166,41 +174,29 @@ def _triangle_search(g: Multigraph, forbidden, budget: int | None):
                 cand = adj[a] & adj[b] & allowed[ab]
                 cnt = cand.bit_count()
                 if need > cnt:
-                    return SearchStatus.NONE
+                    best = False
+                    break
                 width = comb(cnt, need)
                 if best is None or width < best[0]:
                     best = (width, a, b, ab, need, cand)
                     if width == 1:
                         break
         if best is None:
-            return SearchStatus.FOUND
-        _, a, b, ab, need, cand = best
-        ws = [w for w in range(size) if cand & bits[w]]
-        ba = b * size + a
-        bit_a, bit_b = bits[a], bits[b]
-        rem[ab] = rem[ba] = 0
-        adj[a] ^= bit_b
-        adj[b] ^= bit_a
-        status = SearchStatus.NONE
-        for subset in combinations(ws, need):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                status = SearchStatus.BUDGET
-                break
-            # apply the branch in place; a pair that drops to 0 leaves adj
-            for w in subset:
-                aw, wa = a * size + w, w * size + a
-                bw, wb = b * size + w, w * size + b
-                r = rem[aw] = rem[wa] = rem[aw] - 1
-                if not r:
-                    adj[a] ^= bits[w]
-                    adj[w] ^= bit_a
-                r = rem[bw] = rem[wb] = rem[bw] - 1
-                if not r:
-                    adj[b] ^= bits[w]
-                    adj[w] ^= bit_b
-            status = search()
-            for w in subset:
+            break
+        if best:
+            _, a, b, ab, need, cand = best
+            ws = [w for w in range(size) if cand & bits[w]]
+            ba = b * size + a
+            rem[ab] = rem[ba] = 0
+            adj[a] ^= bits[b]
+            adj[b] ^= bits[a]
+            stack.append([a, b, ab, ba, need, combinations(ws, need), ()])
+        # NONE here: apply the next subset of the deepest frame that has one
+        while stack:
+            frame = stack[-1]
+            a, b, ab, ba, need, subsets, applied = frame
+            bit_a, bit_b = bits[a], bits[b]
+            for w in applied:
                 aw, wa = a * size + w, w * size + a
                 bw, wb = b * size + w, w * size + b
                 r = rem[aw]
@@ -213,18 +209,38 @@ def _triangle_search(g: Multigraph, forbidden, budget: int | None):
                 if not r:
                     adj[b] ^= bits[w]
                     adj[w] ^= bit_b
-            if status is SearchStatus.FOUND:
-                out.extend((a, b, w) for w in subset)
-            if status is not SearchStatus.NONE:
-                break
-        rem[ab] = rem[ba] = need
-        adj[a] ^= bit_b
-        adj[b] ^= bit_a
-        return status
-
-    status = search()
-    triples = [tuple(sorted((active[a], active[b], active[c]))) for a, b, c in out]
-    return status, triples, nodes
+            subset = next(subsets, None)
+            if subset is None:
+                rem[ab] = rem[ba] = need
+                adj[a] ^= bit_b
+                adj[b] ^= bit_a
+                stack.pop()
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return SearchStatus.BUDGET, [], nodes
+            # apply the branch in place; a pair that drops to 0 leaves adj
+            for w in subset:
+                aw, wa = a * size + w, w * size + a
+                bw, wb = b * size + w, w * size + b
+                r = rem[aw] = rem[wa] = rem[aw] - 1
+                if not r:
+                    adj[a] ^= bits[w]
+                    adj[w] ^= bit_a
+                r = rem[bw] = rem[wb] = rem[bw] - 1
+                if not r:
+                    adj[b] ^= bits[w]
+                    adj[w] ^= bit_b
+            frame[6] = subset
+            break
+        else:
+            return SearchStatus.NONE, [], nodes
+    triples = [
+        tuple(sorted((active[a], active[b], active[w])))
+        for a, b, *_, applied in reversed(stack)
+        for w in applied
+    ]
+    return SearchStatus.FOUND, triples, nodes
 
 
 def _quick_infeasible(g: Multigraph) -> bool:

@@ -84,8 +84,18 @@ def _decide_packing(n, k, t, target, budget):
     first uncovered one), those with one extra point by the filter that
     picks the extra points, and those with two or more (none when
     k - t = 1) by the block test.  The filter's verdicts hold for every
-    block of the node, since each recursion undoes its own covers.  Every
+    block of the node, since each branch undoes its own covers.  Every
     subset is built sorted, as the index keys are, without sorting.
+
+    The search is one loop over an explicit stack, so its depth has no
+    limit but memory.  A node with a block to test pushes a frame
+    ``[pos, leave, blocks_left, extras, plan, block]``: ``extras`` is
+    the live iterator of its extra points, ``plan`` its block test and
+    ``block`` the block applied below it, or None.  Leaving tau
+    uncovered, a node's last branch, replaces its frame (if any) by the
+    bare index ``pos``, whose entry of ``covered`` is reset as an
+    exhausted answer passes it.  Only an exhausted answer climbs the
+    stack: a witness or the budget ends the whole search.
     """
     total = comb(n, t)
     leave_budget = total - target * comb(k, t)
@@ -105,67 +115,82 @@ def _decide_packing(n, k, t, target, budget):
         for sub in combinations(block, t):
             covered[index[sub]] = flag
 
-    def recurse(pos, leave, blocks_left):
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            return None
-        while pos < total and covered[pos]:
-            pos += 1
-        if blocks_left == 0:
-            uncovered = (total - pos) - sum(covered[pos:])
-            return uncovered <= leave
-        if pos == total:
-            return False  # blocks left but nothing uncovered
-        tau = subsets[pos]
-        # cover tau by a block whose minimal t-subset is tau
-        heads = list(combinations(tau, t - 1))
-        ext = [
-            v
-            for v in range(tau[-1] + 1, n)
-            if not any(covered[index[s + (v,)]] for s in heads)
-        ]
-        extras = ()
-        if len(ext) >= k - t:  # most nodes have no block to test
-            extras = combinations(ext, k - t)
-            # each subset with j >= 2 extra points, as its part in tau and
-            # the getter of its extra points
-            plan = [(s, pick) for j, pick in extra_picks for s in combinations(tau, t - j)]
-        for extra in extras:
-            for s, pick in plan:
-                if covered[index[s + pick(extra)]]:
-                    break
-            else:
-                block = tau + extra
-                cover_block(block, True)
-                chosen.append(block)
-                res = recurse(pos, leave, blocks_left - 1)
-                if res:
-                    return res
-                chosen.pop()
-                cover_block(block, False)
-                if res is None:
-                    return None
-        if leave > 0:
-            covered[pos] = True
-            res = recurse(pos + 1, leave - 1, blocks_left)
-            covered[pos] = False
-            return res
-        return False
-
     if target == 0:
         return True, (), 0
     # first block fixed to {0..k-1} up to relabeling
     first = tuple(range(k))
     cover_block(first, True)
     chosen.append(first)
-    res = recurse(0, leave_budget, target - 1)
-    if res is True:
-        out = tuple(chosen)
-        if not verify_packing(BlockCollection(n, k, t, 1, out)):
-            raise TriplepackError("packing witness failed verification")
-        return True, out, nodes
-    return res, None, nodes
+    stack = []
+    pos, leave, blocks_left = 0, leave_budget, target - 1
+    while True:
+        # the node (pos, leave, blocks_left)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return None, None, nodes
+        while pos < total and covered[pos]:
+            pos += 1
+        if blocks_left == 0:
+            if (total - pos) - sum(covered[pos:]) <= leave:
+                break
+        elif pos < total:  # else blocks left but nothing uncovered
+            tau = subsets[pos]
+            # cover tau by a block whose minimal t-subset is tau
+            heads = list(combinations(tau, t - 1))
+            ext = [
+                v
+                for v in range(tau[-1] + 1, n)
+                if not any(covered[index[s + (v,)]] for s in heads)
+            ]
+            if len(ext) >= k - t:  # most nodes have no block to test
+                # each subset with j >= 2 extra points, as its part in tau
+                # and the getter of its extra points
+                plan = [(s, pick) for j, pick in extra_picks
+                        for s in combinations(tau, t - j)]
+                extras = combinations(ext, k - t)
+                stack.append([pos, leave, blocks_left, extras, plan, None])
+            elif leave > 0:
+                covered[pos] = True
+                stack.append(pos)
+                pos, leave = pos + 1, leave - 1
+                continue
+        # the next branch of the deepest frame (a new frame's first),
+        # undoing on the way each level that has none left
+        while stack:
+            frame = stack[-1]
+            if type(frame) is int:
+                covered[stack.pop()] = False
+                continue
+            pos, leave, blocks_left, extras, plan, block = frame
+            if block is not None:
+                chosen.pop()
+                cover_block(block, False)
+            tau = subsets[pos]
+            for extra in extras:
+                for s, pick in plan:
+                    if covered[index[s + pick(extra)]]:
+                        break
+                else:
+                    block = tau + extra
+                    cover_block(block, True)
+                    chosen.append(block)
+                    frame[5] = block
+                    blocks_left -= 1
+                    break
+            else:
+                stack.pop()
+                if leave == 0:
+                    continue
+                covered[pos] = True
+                stack.append(pos)
+                pos, leave = pos + 1, leave - 1
+            break
+        else:
+            return False, None, nodes
+    out = tuple(chosen)
+    if not verify_packing(BlockCollection(n, k, t, 1, out)):
+        raise TriplepackError("packing witness failed verification")
+    return True, out, nodes
 
 
 def max_packing(n: int, k: int, t: int = 3, budget: int | None = None) -> SearchReport:

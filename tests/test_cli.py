@@ -460,3 +460,24 @@ def test_budget_env_is_read_only_by_commands_with_a_budget(capsys, monkeypatch):
     assert code == OK and json.loads(out)["status"] == "optimal"
     monkeypatch.setenv("TRIPLEPACK_BUDGET", "5")
     assert run(capsys, "brute", "--n", "9", "--k", "4")[0] == BUDGET
+
+
+def test_deep_brute_force_round_trips_through_verify(tmp_path):
+    # its search goes 1,238 levels deep, a block or an uncovered triple
+    # each: one Python frame per level ended this run in a RecursionError
+    # traceback and exit 1
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "triplepack.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+
+    proc = cli("brute", "--n", "31", "--k", "4", "--budget", "20000", "--out", "p.json")
+    assert proc.returncode == OK, proc.stderr
+    data = json.loads((tmp_path / "p.json").read_text())
+    assert (data["status"], data["value"], data["nodes"]) == ("optimal", 1085, 1238)
+    proc = cli("verify", "p.json")
+    assert proc.returncode == OK and proc.stdout.strip() == "packing: ok"

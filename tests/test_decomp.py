@@ -183,6 +183,29 @@ class TestEngine:
                     n, lam
                 ), (n, lam)
 
+    def test_search_depth_takes_no_python_frames(self):
+        # one branching pair per triangle, each once a nested Python
+        # frame: 150 overflowed a limit of 100, as 1,100 overflowed the
+        # default limit
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import sys\n"
+            "sys.setrecursionlimit(100)\n"
+            "from triplepack.decomp import find_triangle_decomposition\n"
+            "from triplepack.multigraph import Multigraph\n"
+            "pairs = {(x, y): 1 for i in range(0, 450, 3)\n"
+            "         for x, y in ((i, i + 1), (i, i + 2), (i + 1, i + 2))}\n"
+            "res = find_triangle_decomposition(Multigraph(450, base=0, mult_map=pairs))\n"
+            "print(res.status.value, len(res.cliques), res.nodes)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["found", "150", "150"]
+
 
 class TestCliqueReduction:
     def g(self):
@@ -395,6 +418,13 @@ class TestKernelMatchesReference:
         assert verify_decomposition(complete(9, 3), triples)
         status, _triples, nodes = decomp._triangle_search(complete(9, 3), (), 1000)
         assert status is SearchStatus.BUDGET and nodes == 1001
+
+    def test_fano_order_pinned(self):
+        # the kernel lists the triangles of the deepest branching pair first
+        status, triples, nodes = decomp._triangle_search(complete(7, 1), (), None)
+        assert status is SearchStatus.FOUND and nodes == 7
+        assert triples == [
+            (2, 4, 5), (2, 3, 6), (1, 4, 6), (1, 3, 5), (0, 5, 6), (0, 3, 4), (0, 1, 2)]
 
 
 class TestJuxtaposition:

@@ -122,6 +122,28 @@ class TestMaxPacking:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["raised"]
 
+    def test_search_depth_takes_no_python_frames(self):
+        # (16,4) and (20,6) go deeper than 100 levels, and one Python frame
+        # per level raised RecursionError there, as it did at (37,8) and
+        # (31,4) under the default limit
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import sys\n"
+            "sys.setrecursionlimit(100)\n"
+            "from triplepack.oracle import max_packing\n"
+            "for n, k, budget in [(9, 4, None), (16, 4, None), (20, 6, 2000)]:\n"
+            "    rep = max_packing(n, k, budget=budget)\n"
+            "    print(rep.status.value, rep.value, rep.nodes_explored)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "optimal 18 10924", "optimal 140 140", "budget-exceeded None 2001"]
+
 
 def reference_decide_packing(n, k, t, target, budget):
     """``oracle._decide_packing`` as it was before it built its index keys
