@@ -194,11 +194,19 @@ def _cmd_verify(args) -> int:
     elif kind == "gdd":
         from .gdd import verify_gdd
 
-        ok = verify_gdd(jsonio.gdd_from_dict(data))
+        inst, points = jsonio.gdd_from_dict(data), jsonio.recorded_int(data, "points")
+        ok = points in (None, inst.v) and verify_gdd(inst)
     elif kind == "packing":
+        # a brute report carries blocks only when its search found them;
+        # the claim is the blocks and the value that counts them
+        if "blocks" not in data:
+            raise InvalidParameterError(
+                f"a {data['status']!r} search carries no claim to verify"
+            )
         from .oracle import verify_packing
 
-        ok = verify_packing(jsonio.packing_from_dict(data))
+        bc, value = jsonio.packing_from_dict(data), jsonio.recorded_int(data, "value")
+        ok = value in (None, len(bc.blocks)) and verify_packing(bc)
     elif kind == "multigraph":
         # a bare graph claims nothing: its degree identity holds for every
         # graph that builds
@@ -219,7 +227,7 @@ def _cmd_verify(args) -> int:
         # the claim is the recorded solution; an instance without one
         # claims nothing
         inst = jsonio.dioph_from_dict(data)
-        x = jsonio.dioph_solution(data)
+        x = jsonio.recorded_int(data, "solution")
         ok = x is not None and inst.satisfied_by(x)
     print(f"{kind}: {'ok' if ok else 'FAILED'}")
     return OK if ok else FAIL
@@ -281,7 +289,8 @@ def _build_parser():
     p.add_argument("--budget", type=non_negative_int, default=budget)
 
     p = add("verify", _cmd_verify, help="re-check a JSON artifact (a certificate's "
-            "ok covers its leave; its xi is a packing only for large n)")
+            "ok covers its leave; its xi is a packing only for large n; a "
+            "packing's ok covers its blocks and their count, not its optimality)")
     p.add_argument("input")
 
     return parser

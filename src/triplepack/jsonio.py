@@ -187,9 +187,11 @@ def dioph_from_dict(d: dict) -> DiophInstance:
     )
 
 
-def dioph_solution(d: dict):
-    """The "solution" an artifact records, or None when it has none."""
-    x = d.get("solution")
+def recorded_int(d: dict, key: str):
+    """The integer an artifact records under ``key`` (a packing's
+    "value", a GDD's "points", a dioph "solution"), or None when it
+    records none."""
+    x = d.get(key)
     return None if x is None else _int(x)
 
 
@@ -208,7 +210,7 @@ def identify(d: dict) -> str:
         return "certificate"
     if "groups" in d:
         return "gdd"
-    if "t" in d and "blocks" in d:
+    if "t" in d and ("blocks" in d or "status" in d):  # a brute report
         return "packing"
     if "triangles" in d or ("status" in d and "graph" in d):
         return "decomposition"

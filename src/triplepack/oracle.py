@@ -84,8 +84,11 @@ def _decide_packing(n, k, t, target, budget):
     first uncovered one), those with one extra point by the filter that
     picks the extra points, and those with two or more (none when
     k - t = 1) by the block test.  The filter's verdicts hold for every
-    block of the node, since each branch undoes its own covers.  Every
-    subset is built sorted, as the index keys are, without sorting.
+    block of the node, since each branch undoes its own covers.  Only a
+    node with at least k - t points above max tau runs the filter; at
+    the others no block has tau as its minimal t-subset, so they go
+    straight to leaving tau uncovered.  Every subset is built sorted, as
+    the index keys are, without sorting.
 
     The search is one loop over an explicit stack, so its depth has no
     limit but memory.  A node with a block to test pushes a frame
@@ -135,13 +138,16 @@ def _decide_packing(n, k, t, target, budget):
                 break
         elif pos < total:  # else blocks left but nothing uncovered
             tau = subsets[pos]
-            # cover tau by a block whose minimal t-subset is tau
-            heads = list(combinations(tau, t - 1))
-            ext = [
-                v
-                for v in range(tau[-1] + 1, n)
-                if not any(covered[index[s + (v,)]] for s in heads)
-            ]
+            # cover tau by a block whose minimal t-subset is tau: one
+            # needs k - t points above tau that pass the filter
+            ext = ()
+            if n - 1 - tau[-1] >= k - t:  # else no block fits above tau
+                heads = list(combinations(tau, t - 1))
+                ext = [
+                    v
+                    for v in range(tau[-1] + 1, n)
+                    if not any(covered[index[s + (v,)]] for s in heads)
+                ]
             if len(ext) >= k - t:  # most nodes have no block to test
                 # each subset with j >= 2 extra points, as its part in tau
                 # and the getter of its extra points

@@ -218,6 +218,17 @@ class TestGdd:
         code, out, _ = run(capsys, "verify", str(wit))
         assert code == OK and "gdd: ok" in out
 
+    @pytest.mark.parametrize("points, code, printed", [
+        (6, OK, "gdd: ok\n"), (999, FAIL, "gdd: FAILED\n"), ("6", BAD_INPUT, ""),
+    ], ids=["points-6", "points-999", "points-string"])
+    def test_verify_checks_the_recorded_point_count(self, tmp_path, capsys,
+                                                     points, code, printed):
+        # a witness used to verify on its groups alone, whatever its "points"
+        _, out, _ = run(capsys, "gdd", "--g", "2", "--u", "3", "--lam", "1", "--search")
+        path = tmp_path / "wit.json"
+        path.write_text(json.dumps({**json.loads(out)["witness"], "points": points}))
+        assert run(capsys, "verify", str(path))[:2] == (code, printed)
+
     def test_search_none_fails(self, capsys):
         # lambda above the transverse-pair capacity g(u-2)
         code, out, _ = run(capsys, "gdd", "--g", "2", "--u", "3", "--lam", "3",
@@ -299,6 +310,30 @@ class TestBrute:
         assert data["lambda"] == 1 and len(data["blocks"]) == 18
         code, out, _ = run(capsys, "verify", str(path))
         assert code == OK and out.strip() == "packing: ok"
+
+    @pytest.mark.parametrize("tamper, code, printed", [
+        ({"value": 99}, FAIL, "packing: FAILED\n"),
+        ({"blocks": [[0, 1, 2], [0, 3, 4], [0, 5, 6]]}, FAIL, "packing: FAILED\n"),
+        ({"value": "7"}, BAD_INPUT, ""),
+        ({"value": 7.0}, BAD_INPUT, ""),
+    ], ids=["value-99", "three-blocks", "value-string", "value-float"])
+    def test_verify_checks_the_recorded_value(self, tmp_path, capsys, tamper, code, printed):
+        # either tamper used to print "packing: ok": the blocks were a
+        # packing, and the value was never read
+        _, out, _ = run(capsys, "brute", "--n", "7", "--k", "3", "--t", "2")
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**json.loads(out), **tamper}))
+        assert run(capsys, "verify", str(path))[:2] == (code, printed)
+
+    def test_verify_refuses_a_report_without_a_witness(self, tmp_path, capsys):
+        # it used to read as an unrecognized artifact shape
+        path = tmp_path / "p.json"
+        code, _, _ = run(capsys, "brute", "--n", "9", "--k", "4", "--budget", "5",
+                         "--out", str(path))
+        assert code == BUDGET and "blocks" not in json.loads(path.read_text())
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (BAD_INPUT, "")
+        assert err == "error: a 'budget-exceeded' search carries no claim to verify\n"
 
 
 class TestBadInput:

@@ -83,10 +83,10 @@ def test_readers_refuse_non_integers(bad, tmp_path, capsys):
         jsonio.dioph_from_dict({"equalities": [[4, bad]]})
     if bad is not None:  # a null solution means "no solution"
         with pytest.raises(InvalidParameterError):
-            jsonio.dioph_solution({"equalities": [], "solution": bad})
+            jsonio.recorded_int({"equalities": [], "solution": bad}, "solution")
 
 
 def test_dioph_dict_round_trip():
     d = {"equalities": [[4, 1], [9, 2]], "avoidances": [[5, [0, 3]]]}
     assert jsonio.dioph_to_dict(jsonio.dioph_from_dict(d)) == d
-    assert jsonio.dioph_solution(d) is None
+    assert jsonio.recorded_int(d, "solution") is None

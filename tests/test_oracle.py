@@ -254,6 +254,16 @@ def test_decide_packing_walks_the_reference_tree_past_two_extra_points(n, k, t):
     walk_targets(n, k, t, budget=2000)
 
 
+@pytest.mark.parametrize("n, k, t", [(9, 5, 3), (10, 5, 3), (10, 6, 3), (9, 5, 2)])
+def test_decide_packing_walks_the_reference_tree_where_no_block_fits(n, k, t):
+    # most t-subsets here have fewer than k - t points above their largest,
+    # so no block has one as its minimal t-subset, and the search leaves
+    # it uncovered without running its filter
+    no_room = sum(n - 1 - s[-1] < k - t for s in combinations(range(n), t))
+    assert 2 * no_room > comb(n, t)
+    walk_targets(n, k, t, budget=5000)
+
+
 class TestBricks:
     def test_pruned_counts_at_unit_1(self):
         # symmetry breaking keeps 240 of the 26,320 weight-6 matrices
