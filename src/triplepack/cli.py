@@ -194,8 +194,22 @@ def _cmd_verify(args) -> int:
     elif kind == "gdd":
         from .gdd import verify_gdd
 
-        inst, points = jsonio.gdd_from_dict(data), jsonio.recorded_int(data, "points")
+        wit = data
+        if "search" in data:
+            # a search report claims its witness: a simple (3, lambda)-GDD
+            # of type g^u
+            if "witness" not in data:
+                raise InvalidParameterError(
+                    f"a {data['search']!r} search carries no claim to verify"
+                )
+            wit = data["witness"]
+        inst, points = jsonio.gdd_from_dict(wit), jsonio.recorded_int(wit, "points")
         ok = points in (None, inst.v) and verify_gdd(inst)
+        if wit is not data:
+            g, u, lam = (jsonio.recorded_int(data, key) for key in ("g", "u", "lambda"))
+            ok = ok and (inst.k, inst.lam, len(inst.groups)) == (3, lam, u) and all(
+                len(grp) == g for grp in inst.groups
+            )
     elif kind == "packing":
         # a brute report carries blocks only when its search found them;
         # the claim is the blocks and the value that counts them

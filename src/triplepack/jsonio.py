@@ -208,7 +208,7 @@ def identify(d: dict) -> str:
     """Best-effort artifact type from the key shape."""
     if "xi" in _obj(d):
         return "certificate"
-    if "groups" in d:
+    if "groups" in d or "search" in d:  # a GDD, or a `gdd --search` report
         return "gdd"
     if "t" in d and ("blocks" in d or "status" in d):  # a brute report
         return "packing"

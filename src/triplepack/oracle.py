@@ -87,8 +87,10 @@ def _decide_packing(n, k, t, target, budget):
     block of the node, since each branch undoes its own covers.  Only a
     node with at least k - t points above max tau runs the filter; at
     the others no block has tau as its minimal t-subset, so they go
-    straight to leaving tau uncovered.  Every subset is built sorted, as
-    the index keys are, without sorting.
+    straight to leaving tau uncovered.  The filter builds no subset: it
+    reads each (t-1)-subset of tau plus a point v at its start offset
+    plus v.  Every other subset is built sorted, as the index keys are,
+    without sorting.
 
     The search is one loop over an explicit stack, so its depth has no
     limit but memory.  A node with a block to test pushes a frame
@@ -106,6 +108,11 @@ def _decide_packing(n, k, t, target, budget):
         return False, None, 0
     subsets = list(combinations(range(n), t))
     index = {s: i for i, s in enumerate(subsets)}
+    # the t-subsets that extend a (t-1)-subset h by one larger point are
+    # consecutive in lex order: h + (v,) has index start[h] + v
+    start = {}
+    for i, s in enumerate(subsets):
+        start.setdefault(s[:-1], i - s[-1])
     covered = [False] * total
     chosen = []
     nodes = 0
@@ -141,12 +148,14 @@ def _decide_packing(n, k, t, target, budget):
             # cover tau by a block whose minimal t-subset is tau: one
             # needs k - t points above tau that pass the filter
             ext = ()
-            if n - 1 - tau[-1] >= k - t:  # else no block fits above tau
-                heads = list(combinations(tau, t - 1))
+            # with k == t the filter picks nothing; else it needs room for
+            # a block above tau, so no head ends at n - 1
+            if k > t and n - 1 - tau[-1] >= k - t:
+                heads = [start[h] for h in combinations(tau, t - 1)]
                 ext = [
                     v
                     for v in range(tau[-1] + 1, n)
-                    if not any(covered[index[s + (v,)]] for s in heads)
+                    if not any(covered[h + v] for h in heads)
                 ]
             if len(ext) >= k - t:  # most nodes have no block to test
                 # each subset with j >= 2 extra points, as its part in tau
@@ -268,6 +277,38 @@ def _prefix_swap_smaller(v, mat, upto, i):
     return False
 
 
+def _row_closes(x, v, mat, rem, deltas, unit, cap, prune):
+    """Can row x of a brick's fill stand, now that rows 0..x are complete?"""
+    if rem[x]:
+        return False
+    # a pair of multiplicity m*unit needs m*unit distinct common neighbors
+    # (one per triangle); rows <= x are complete, so check pairs (yy, x)
+    # exactly
+    row_x = mat[x]
+    for yy in range(x):
+        m = row_x[yy]
+        if m:
+            common = 0
+            for a, b in zip(row_x, mat[yy]):
+                if a and b:
+                    common += 1
+            if unit * m > common:
+                return False
+    if prune:
+        for i in range(x):
+            if deltas[i] == deltas[i + 1] and _prefix_swap_smaller(v, mat, x, i):
+                return False
+    # all later rows must still be completable among themselves: enough
+    # pair slots, and an even total
+    most = cap * (v - x - 2)
+    total = 0
+    for z in range(x + 1, v):
+        if rem[z] > most:
+            return False
+        total += rem[z]
+    return total % 2 == 0
+
+
 def _bricks_of_weight(w, deg_unit, unit, prune=True):
     """Yield connected candidate leave components ("bricks") of weight w.
 
@@ -278,6 +319,10 @@ def _bricks_of_weight(w, deg_unit, unit, prune=True):
     common-neighbor necessity (a pair of multiplicity m needs m distinct
     common neighbors for its triangles) are pruned during the fill; they
     can never decompose.
+
+    The fill is one loop over an explicit stack of the assigned cells
+    (x, y, m), each tried from its largest multiplicity down to 0; a cell
+    with none left is dropped, and the one below it takes its next value.
     """
     for v in range(3, w + 1):
         for deltas in _partitions_fixed_length(w, v):
@@ -293,55 +338,41 @@ def _bricks_of_weight(w, deg_unit, unit, prune=True):
             # multiplicity m*unit needs m*unit common neighbors, so the
             # endpoint has > m*unit distinct neighbors, each of >= 1 unit
             vcap = [(r - 1) // unit for r in rows]
-
-            def fill(x, y):
+            stack = []
+            x, y = 0, 1
+            while True:
                 if x == v:
                     # with prune, the last row's swap check has already
                     # compared the whole matrix with each adjacent swap
                     if _connected(v, mat):
                         yield tuple(tuple(r) for r in mat)
-                    return
-                if y == v:
-                    if rem[x] != 0:
-                        return
-                    # a pair of multiplicity m*unit needs m*unit distinct
-                    # common neighbors (one per triangle); rows <= x are
-                    # complete, so check pairs (yy, x) exactly
-                    row_x = mat[x]
-                    for yy in range(x):
-                        m = mat[yy][x]
-                        if m and unit * m > sum(
-                            1 for z in range(v) if row_x[z] and mat[yy][z]
-                        ):
-                            return
-                    if prune and any(
-                        deltas[i] == deltas[i + 1]
-                        and _prefix_swap_smaller(v, mat, x, i)
-                        for i in range(x)
-                    ):
-                        return
-                    # all later rows must still be completable among
-                    # themselves: enough pair slots, and an even total
-                    future = v - x - 2
-                    if any(rem[z] > cap * future for z in range(x + 1, v)):
-                        return
-                    if sum(rem[x + 1 :]) % 2 != 0:
-                        return
-                    yield from fill(x + 1, x + 2)
-                    return
-                if rem[x] > cap * (v - y):
-                    return
-                hi = min(cap, vcap[x], vcap[y], rem[x], rem[y])
-                for m in range(hi, -1, -1):
-                    mat[x][y] = mat[y][x] = m
-                    rem[x] -= m
-                    rem[y] -= m
-                    yield from fill(x, y + 1)
-                    rem[x] += m
-                    rem[y] += m
-                    mat[x][y] = mat[y][x] = 0
-
-            yield from fill(0, 1)
+                elif y == v:
+                    if _row_closes(x, v, mat, rem, deltas, unit, cap, prune):
+                        x, y = x + 1, x + 2
+                        continue
+                elif rem[x] <= cap * (v - y):
+                    m = min(cap, vcap[x], vcap[y], rem[x], rem[y])
+                    if m >= 0:
+                        mat[x][y] = mat[y][x] = m
+                        rem[x] -= m
+                        rem[y] -= m
+                        stack.append((x, y, m))
+                        y += 1
+                        continue
+                # the next value of the deepest cell with one left; a cell
+                # popped at 0 has nothing to undo
+                while stack:
+                    x, y, m = stack.pop()
+                    if m:
+                        m -= 1
+                        mat[x][y] = mat[y][x] = m
+                        rem[x] += 1
+                        rem[y] += 1
+                        stack.append((x, y, m))
+                        y += 1
+                        break
+                else:
+                    break
 
 
 def _decomposable_brick_weights(weights, deg_unit, unit, prune=True):

@@ -211,12 +211,32 @@ class TestGdd:
         code, _, _ = run(capsys, "gdd", "--g", "2", "--u", "3", "--lam", "1",
                          "--search", "--out", str(path))
         assert code == OK
-        data = json.loads(path.read_text())
-        assert data["search"] == "found"
-        wit = tmp_path / "wit.json"
-        wit.write_text(json.dumps(data["witness"]))
-        code, out, _ = run(capsys, "verify", str(wit))
-        assert code == OK and "gdd: ok" in out
+        assert json.loads(path.read_text())["search"] == "found"
+        assert run(capsys, "verify", str(path))[:2] == (OK, "gdd: ok\n")
+
+    @pytest.mark.parametrize("patch", [
+        {"g": 3}, {"u": 4}, {"lambda": 2},
+        # one block K_4: a valid GDD of type 1^4, but not of triangles
+        {"g": 1, "u": 4, "witness": {
+            "points": 4, "groups": [[0], [1], [2], [3]], "lambda": 1,
+            "blocks": [[0, 1, 2, 3]]}},
+    ], ids=["g", "u", "lambda", "blocks-of-4"])
+    def test_verify_checks_the_reported_type(self, tmp_path, capsys, patch):
+        # the report claims a simple (3, lambda)-GDD of type g^u: a witness
+        # of another type fails, even one that verify_gdd accepts
+        _, out, _ = run(capsys, "gdd", "--g", "2", "--u", "3", "--lam", "1", "--search")
+        data = {**json.loads(out), **patch}
+        path = tmp_path / "gdd.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "verify", str(path))[:2] == (FAIL, "gdd: FAILED\n")
+
+    def test_verify_refuses_a_report_without_a_witness(self, tmp_path, capsys):
+        path = tmp_path / "gdd.json"
+        run(capsys, "gdd", "--g", "2", "--u", "3", "--lam", "3", "--search",
+            "--out", str(path))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (BAD_INPUT, "")
+        assert "'none-found' search carries no claim" in err
 
     @pytest.mark.parametrize("points, code, printed", [
         (6, OK, "gdd: ok\n"), (999, FAIL, "gdd: FAILED\n"), ("6", BAD_INPUT, ""),

@@ -264,7 +264,87 @@ def test_decide_packing_walks_the_reference_tree_where_no_block_fits(n, k, t):
     walk_targets(n, k, t, budget=5000)
 
 
+def reference_bricks_of_weight(w, deg_unit, unit, prune=True):
+    """``oracle._bricks_of_weight`` as it was before its fill ran on an
+    explicit stack: the same enumeration, as one recursive generator per
+    matrix cell and the row-end checks as generator expressions."""
+    for v in range(3, w + 1):
+        for deltas in oracle._partitions_fixed_length(w, v):
+            if any(deg_unit * d % unit for d in deltas):
+                continue
+            rows = [deg_unit * d // unit for d in deltas]
+            cap = (v - 2) // unit
+            if cap < 1 or any(r > cap * (v - 1) for r in rows):
+                continue
+            mat = [[0] * v for _ in range(v)]
+            rem = list(rows)
+            vcap = [(r - 1) // unit for r in rows]
+
+            def fill(x, y):
+                if x == v:
+                    if oracle._connected(v, mat):
+                        yield tuple(tuple(r) for r in mat)
+                    return
+                if y == v:
+                    if rem[x] != 0:
+                        return
+                    row_x = mat[x]
+                    for yy in range(x):
+                        m = mat[yy][x]
+                        if m and unit * m > sum(
+                            1 for z in range(v) if row_x[z] and mat[yy][z]
+                        ):
+                            return
+                    if prune and any(
+                        deltas[i] == deltas[i + 1]
+                        and oracle._prefix_swap_smaller(v, mat, x, i)
+                        for i in range(x)
+                    ):
+                        return
+                    future = v - x - 2
+                    if any(rem[z] > cap * future for z in range(x + 1, v)):
+                        return
+                    if sum(rem[x + 1 :]) % 2 != 0:
+                        return
+                    yield from fill(x + 1, x + 2)
+                    return
+                if rem[x] > cap * (v - y):
+                    return
+                hi = min(cap, vcap[x], vcap[y], rem[x], rem[y])
+                for m in range(hi, -1, -1):
+                    mat[x][y] = mat[y][x] = m
+                    rem[x] -= m
+                    rem[y] -= m
+                    yield from fill(x, y + 1)
+                    rem[x] += m
+                    rem[y] += m
+                    mat[x][y] = mat[y][x] = 0
+
+            yield from fill(0, 1)
+
+
+@pytest.mark.parametrize("n, k, t", [(9, 4, 1), (10, 6, 1), (9, 3, 3), (10, 4, 4), (9, 5, 5)])
+def test_decide_packing_walks_the_reference_tree_at_the_start_offset_edges(n, k, t):
+    # the filter reads h + (v,) at start[h] + v: with t = 1 the one head
+    # is (), and with k = t a head may end at n - 1, where no h + (v,)
+    # exists and the filter must not run
+    walk_targets(n, k, t, budget=2000)
+
+
 class TestBricks:
+    # unit 1 stops at w = 6 and unit 3 at w = 9, as the pruning test below
+    # does, except that pruned unit 3 goes on to w = 10: below it yields
+    # one brick, at w = 5, and at w = 10 two; unit 1 yields 240 bricks
+    # pruned and 26,320 unpruned at w = 6
+    @pytest.mark.parametrize("unit, weights, prune", [
+        (1, range(3, 7), True), (1, range(3, 7), False),
+        (3, range(3, 11), True), (3, range(3, 10), False),
+    ])
+    def test_fill_yields_the_reference_sequence(self, unit, weights, prune):
+        for w in weights:
+            assert list(oracle._bricks_of_weight(w, 12, unit, prune)) == list(
+                reference_bricks_of_weight(w, 12, unit, prune)), (w, unit, prune)
+
     def test_pruned_counts_at_unit_1(self):
         # symmetry breaking keeps 240 of the 26,320 weight-6 matrices
         assert sum(1 for _ in oracle._bricks_of_weight(6, 12, 1)) == 240
