@@ -8,7 +8,7 @@ whose components all admit distinct triangle decompositions.  The
 search enumerates every possible component ("brick") up to the weight
 budget and shows no multiset of decomposable bricks adds up.
 
-Run with --exhaustive to reproduce the full proof (roughly 7 minutes);
+Run with --exhaustive to reproduce the full proof (about 3.5 minutes);
 by default this script runs only the relaxed sanity check, which drops
 the multiplicity-residue condition and *does* find a witness -- showing
 the exhaustive search is not vacuously tight.

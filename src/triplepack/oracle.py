@@ -84,13 +84,14 @@ def _decide_packing(n, k, t, target, budget):
     first uncovered one), those with one extra point by the filter that
     picks the extra points, and those with two or more (none when
     k - t = 1) by the block test.  The filter's verdicts hold for every
-    block of the node, since each branch undoes its own covers.  Only a
-    node with at least k - t points above max tau runs the filter; at
-    the others no block has tau as its minimal t-subset, so they go
-    straight to leaving tau uncovered.  The filter builds no subset: it
-    reads each (t-1)-subset of tau plus a point v at its start offset
-    plus v.  Every other subset is built sorted, as the index keys are,
-    without sorting.
+    block of the node, since each branch undoes its own covers.  The
+    filter reads each (t-1)-subset of tau plus a point v at index
+    head + v, where the head is the subset's start offset; tau alone
+    fixes its heads, so ``heads_at`` holds them per t-subset, built once
+    per call.  Its entry is None where the filter must not run: when
+    k == t, and when fewer than k - t points lie above max tau, where
+    no block has tau as its minimal t-subset.  Every other subset is
+    built sorted, as the index keys are, without sorting.
 
     The search is one loop over an explicit stack, so its depth has no
     limit but memory.  A node with a block to test pushes a frame
@@ -113,6 +114,8 @@ def _decide_packing(n, k, t, target, budget):
     start = {}
     for i, s in enumerate(subsets):
         start.setdefault(s[:-1], i - s[-1])
+    heads_at = [[start[h] for h in combinations(s, t - 1)]
+                if k > t and n - 1 - s[-1] >= k - t else None for s in subsets]
     covered = [False] * total
     chosen = []
     nodes = 0
@@ -144,14 +147,11 @@ def _decide_packing(n, k, t, target, budget):
             if (total - pos) - sum(covered[pos:]) <= leave:
                 break
         elif pos < total:  # else blocks left but nothing uncovered
-            tau = subsets[pos]
+            tau, heads = subsets[pos], heads_at[pos]
             # cover tau by a block whose minimal t-subset is tau: one
             # needs k - t points above tau that pass the filter
             ext = ()
-            # with k == t the filter picks nothing; else it needs room for
-            # a block above tau, so no head ends at n - 1
-            if k > t and n - 1 - tau[-1] >= k - t:
-                heads = [start[h] for h in combinations(tau, t - 1)]
+            if heads is not None:
                 ext = [
                     v
                     for v in range(tau[-1] + 1, n)

@@ -8,6 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triplepack import jsonio
 from triplepack.cli import BAD_INPUT, BUDGET, FAIL, OK, main
@@ -407,6 +408,86 @@ class TestBadInput:
         argv = [str(path)] if command == "verify" else ["--input", str(path)]
         code, out, err = run(capsys, command, *argv)
         assert code == BAD_INPUT and err.startswith("error:") and "ok" not in out
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One valid artifact of each kind `verify` reads, made by the CLI."""
+    tmp = tmp_path_factory.mktemp("artifacts")
+    commands = {
+        "r-case": ["construct", "--n", "9", "--k", "5"],
+        "q-case": ["construct", "--n", "74", "--k", "5"],
+        "p-case": ["construct", "--n", "11", "--k", "5"],
+        "brute": ["brute", "--n", "7", "--k", "3", "--t", "2"],
+        "gdd-search": ["gdd", "--g", "2", "--u", "3", "--lam", "1", "--search"],
+        "decompose": ["decompose", "--input", str(tmp / "k7.json")],
+        "dioph": ["dioph", "--input", str(tmp / "inst.json")],
+    }
+    (tmp / "k7.json").write_text(jsonio.dumps(jsonio.multigraph_to_dict(complete(7, 1))))
+    (tmp / "inst.json").write_text(json.dumps(
+        {"equalities": [[4, 1], [9, 2]], "avoidances": [[5, [0, 3]]]}))
+    made = {}
+    for name, argv in commands.items():
+        out = tmp / f"{name}.json"
+        assert main([*argv, "--out", str(out)]) == OK and main(["verify", str(out)]) == OK
+        made[name] = json.loads(out.read_text())
+    return tmp, made
+
+
+def _leaves(value, path=()):
+    """Paths to the scalars and empty containers of a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path]
+    found = [p for key, child in items for p in _leaves(child, (*path, key))]
+    return found or [path]
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 30),
+                     st.floats(-1e3, 1e3), st.text(max_size=3), st.just([]), st.just({}))
+
+
+@st.composite
+def _mutants(draw):
+    """An artifact name and 1-3 edits, each replacing, deleting or
+    retyping one leaf; an edit is (leaf pick, action, value)."""
+    name = draw(st.sampled_from(["r-case", "q-case", "p-case", "brute", "gdd-search",
+                                 "decompose", "dioph"]))
+    edits = draw(st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.sampled_from(["replace", "delete", "retype"]),
+                                    _SCALARS), min_size=1, max_size=3))
+    return name, edits
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutants())
+def test_mutated_artifacts_exit_0_1_or_2(artifacts, mutant):
+    # `verify` on any edit of a valid artifact answers with an exit code,
+    # never a traceback
+    tmp, made = artifacts
+    name, edits = mutant
+    data = json.loads(json.dumps(made[name]))
+    for pick, action, value in edits:
+        paths = [p for p in _leaves(data) if p]
+        if not paths:
+            break
+        *head, last = paths[pick % len(paths)]
+        parent = data
+        for key in head:
+            parent = parent[key]
+        old = parent[last]
+        if action == "delete":
+            del parent[last]
+        elif action == "replace":
+            parent[last] = value
+        else:
+            parent[last] = [old] if isinstance(old, str) else str(old)
+    path = tmp / "mutant.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) in (OK, FAIL, BAD_INPUT)
 
 
 def _malformed_inputs(tmp_path):
